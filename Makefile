@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet test race race-server race-shard race-engine race-fleet docs-check build bench-match bench-match-smoke bench-gc bench-gc-smoke bench-obs bench-obs-smoke bench-hot bench-hot-smoke bench-shard bench-shard-smoke bench-engine bench-engine-smoke bench-fleet bench-fleet-smoke
+.PHONY: check fmt vet test race race-server race-shard race-engine race-fleet docs-check build bench-selftest bench-shape bench-match bench-match-smoke bench-gc bench-gc-smoke bench-obs bench-obs-smoke bench-hot bench-hot-smoke bench-shard bench-shard-smoke bench-engine bench-engine-smoke bench-fleet bench-fleet-smoke
 
-check: fmt vet docs-check race race-server race-shard race-engine race-fleet bench-match-smoke bench-gc-smoke bench-obs-smoke bench-hot-smoke bench-shard-smoke bench-engine-smoke bench-fleet-smoke
+check: fmt vet docs-check bench-selftest race race-server race-shard race-engine race-fleet bench-match-smoke bench-gc-smoke bench-obs-smoke bench-hot-smoke bench-shard-smoke bench-engine-smoke bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -24,12 +24,29 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The concurrency and crash-recovery battery (property/stress/drain tests of
-# the conflict-aware scheduler, plus the WAL torn-tail/replay tests) runs
-# twice under the detector: interleavings differ per run. internal/core
-# rides along for the indexed-vs-naive match equivalence property test.
+# The concurrency and crash-recovery battery (the lease table's rule and
+# property tests in the root package, the daemon's stress/liveness/drain
+# tests, plus the WAL torn-tail/replay tests) runs twice under the detector:
+# interleavings differ per run. internal/core rides along for the
+# indexed-vs-naive match equivalence property test.
 race-server:
+	$(GO) test -race -count=2 -run 'TestLease|TestPropertyLeases|TestExecuteRead' .
 	$(GO) test -race -count=2 ./internal/server/... ./internal/persist/... ./internal/core/...
+
+# The benchmark is its own module (benchmark/go.mod replaces repro => ../),
+# so `go build ./... && go test ./...` neither compiles nor runs it. This
+# does both (counts only, ~7 s): a change to an exported seam the benchmark
+# uses (System methods, server.Config, the wire types) fails here rather
+# than in the driver.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The wall-clock and allocation thresholds of the server-engine and
+# server-shard tables: re-measured on this machine, so run on a quiet one.
+# Kept out of `go test ./...` (and of `check`), whose tests must not depend
+# on load; the row-count and submitted == executed assertions stay there.
+bench-shape:
+	$(GO) test -tags benchshape -count=1 -run 'WallClockShape' ./internal/bench
 
 # The sharded-core battery: the differential oracle (sharded system must be
 # observationally identical to the single-domain one), the cross-shard

@@ -1,6 +1,9 @@
 package restore
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,4 +163,230 @@ func TestLeaseTableUniversalDrains(t *testing.T) {
 	}
 	lt.release(a)
 	wg.Wait()
+}
+
+// The admission rules, one test each. The lease table is the only admission
+// controller in the repository (the daemon's scheduler only counts slots),
+// so these are the tests of the rule. Each runs against the bare leaseTable
+// and against shardedLeases at one and four tables. The rule tests keep
+// every path under one root, so at any table count all their sets meet in
+// one table (plus, for a universal set, the barrier through the others) and
+// the expected order is the same.
+
+// leaseDomain is the surface the rule tests need from either lease
+// implementation: a blocking acquire handing back its release, and how many
+// acquirers are parked in a wait queue right now.
+type leaseDomain struct {
+	acquire func(AccessSet) (release func())
+	waiters func() int
+}
+
+func (lt *leaseTable) waiterCount() int {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	return len(lt.waiting)
+}
+
+// eachLeaseDomain runs fn against the three lease configurations.
+func eachLeaseDomain(t *testing.T, fn func(t *testing.T, d leaseDomain)) {
+	t.Run("leaseTable", func(t *testing.T) {
+		var lt leaseTable
+		fn(t, leaseDomain{
+			acquire: func(a AccessSet) func() { l := lt.acquire(a); return func() { lt.release(l) } },
+			waiters: lt.waiterCount,
+		})
+	})
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("sharded=%d", n), func(t *testing.T) {
+			sl := newShardedLeases(n)
+			fn(t, leaseDomain{
+				acquire: func(a AccessSet) func() { h := sl.acquire(a); return func() { sl.release(h) } },
+				waiters: func() int {
+					w := 0
+					for i := range sl.tables {
+						w += sl.tables[i].waiterCount()
+					}
+					return w
+				},
+			})
+		})
+	}
+}
+
+// enqueue starts an acquire on its own goroutine and returns the channel
+// its release func arrives on once granted. When queued is non-negative it
+// first waits until exactly that many acquirers are parked, which fixes the
+// queue order of successive enqueues; grants happen under the table mutex
+// inside acquire and release, so once the count is reached a still-empty
+// channel means "blocked", with no sleep to tune.
+func (d leaseDomain) enqueue(t *testing.T, a AccessSet, queued int) <-chan func() {
+	t.Helper()
+	got := make(chan func(), 1)
+	go func() { got <- d.acquire(a) }()
+	if queued >= 0 {
+		deadline := time.Now().Add(5 * time.Second)
+		for d.waiters() != queued {
+			if time.Now().After(deadline) {
+				t.Fatalf("acquirers parked = %d, want %d", d.waiters(), queued)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return got
+}
+
+// granted waits for an acquire that must succeed.
+func granted(t *testing.T, what string, got <-chan func()) func() {
+	t.Helper()
+	select {
+	case release := <-got:
+		return release
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was never granted", what)
+		return nil
+	}
+}
+
+// blocked asserts an enqueued acquire has not been granted: it is still one
+// of the parked acquirers (a synchronous fact, see enqueue) and nothing has
+// arrived on its channel.
+func (d leaseDomain) blocked(t *testing.T, what string, got <-chan func(), parked int) {
+	t.Helper()
+	if w := d.waiters(); w != parked {
+		t.Fatalf("%s should still be parked: %d acquirers parked, want %d", what, w, parked)
+	}
+	select {
+	case <-got:
+		t.Fatalf("%s was granted", what)
+	default:
+	}
+}
+
+func TestLeaseRuleHeadFirst(t *testing.T) {
+	eachLeaseDomain(t, func(t *testing.T, d leaseDomain) {
+		hold := d.acquire(AccessSet{Writes: []string{"out/a"}})
+		head := d.enqueue(t, AccessSet{Writes: []string{"out/a/x"}}, 1)
+		next := d.enqueue(t, AccessSet{Writes: []string{"out/a"}}, 2)
+		hold()
+		releaseHead := granted(t, "the queue head", head)
+		d.blocked(t, "a waiter conflicting with the granted head", next, 1)
+		releaseHead()
+		granted(t, "the second waiter", next)()
+	})
+}
+
+func TestLeaseRuleOvertakesBlockedHead(t *testing.T) {
+	eachLeaseDomain(t, func(t *testing.T, d leaseDomain) {
+		hold := d.acquire(AccessSet{Writes: []string{"out/a"}})
+		head := d.enqueue(t, AccessSet{Reads: []string{"out/a"}, Writes: []string{"out/c"}}, 1) // reads an in-flight write
+		late := d.enqueue(t, AccessSet{Writes: []string{"out/b"}}, -1)                          // disjoint from both
+		releaseLate := granted(t, "a disjoint arrival behind a blocked head", late)
+		d.blocked(t, "the head, while its conflict is in flight", head, 1)
+		releaseLate()
+		hold()
+		granted(t, "the head", head)()
+	})
+}
+
+func TestLeaseRuleNeverReordersConflictingWaiters(t *testing.T) {
+	eachLeaseDomain(t, func(t *testing.T, d leaseDomain) {
+		hold := d.acquire(AccessSet{Writes: []string{"out/a"}})
+		head := d.enqueue(t, AccessSet{Reads: []string{"out/a"}, Writes: []string{"out/c"}}, 1)
+		// Disjoint from everything in flight, but reads what the head writes.
+		next := d.enqueue(t, AccessSet{Reads: []string{"out/c"}, Writes: []string{"out/d"}}, 2)
+		d.blocked(t, "a waiter conflicting with a queued predecessor", next, 2)
+		hold()
+		releaseHead := granted(t, "the head", head)
+		d.blocked(t, "the second waiter, while the head it conflicts with runs", next, 1)
+		releaseHead()
+		granted(t, "the second waiter", next)()
+	})
+}
+
+func TestLeaseRuleUniversalIsABarrier(t *testing.T) {
+	eachLeaseDomain(t, func(t *testing.T, d leaseDomain) {
+		hold := d.acquire(AccessSet{Writes: []string{"out/a"}})
+		uni := d.enqueue(t, UniversalAccess(), 1)
+		late := d.enqueue(t, AccessSet{Writes: []string{"out/b"}}, 2)
+		d.blocked(t, "an arrival behind a queued universal", late, 2)
+		hold()
+		releaseUni := granted(t, "the universal, once in-flight work drained", uni)
+		d.blocked(t, "an arrival, while the universal is held", late, 1)
+		releaseUni()
+		granted(t, "the arrival behind the barrier", late)()
+	})
+}
+
+// randAccess draws a small access set from a hierarchical path universe, so
+// generated sets exercise exact, prefix, and disjoint overlaps — across
+// several shard roots, so a sharded domain takes multi-table leases.
+func randAccess(rng *rand.Rand) AccessSet {
+	universe := []string{
+		"in/a", "in/b", "in/c",
+		"out/a", "out/a/x", "out/a/y", "out/b", "out/b/deep/leaf", "out/c",
+		"restore/tmp/q1", "restore/tmp/q2",
+	}
+	var a AccessSet
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		a.Reads = append(a.Reads, universe[rng.Intn(len(universe))])
+	}
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		a.Writes = append(a.Writes, universe[rng.Intn(len(universe))])
+	}
+	if rng.Intn(40) == 0 {
+		a = UniversalAccess() // occasional checkpoint-like task
+	}
+	return a
+}
+
+// TestPropertyLeasesNeverAdmitConflictsConcurrently generates random
+// workloads and asserts the safety and liveness properties admission
+// promises: no two conflicting sets are ever held together, and every
+// acquirer is eventually admitted (disjoint ones are not starved, blocked
+// ones are not dropped). Seeds are fixed so a failure reproduces.
+func TestPropertyLeasesNeverAdmitConflictsConcurrently(t *testing.T) {
+	eachLeaseDomain(t, func(t *testing.T, d leaseDomain) {
+		for _, seed := range []int64{1, 7, 42} {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				const tasks = 80
+				var mu sync.Mutex
+				active := make(map[int]AccessSet)
+				ran := 0
+				var wg sync.WaitGroup
+				for i := 0; i < tasks; i++ {
+					access := randAccess(rng)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						release := d.acquire(access)
+						mu.Lock()
+						for j, other := range active {
+							if access.ConflictsWith(other) {
+								t.Errorf("seed %d: task %d (%+v) held concurrently with conflicting task %d (%+v)",
+									seed, i, access, j, other)
+							}
+						}
+						active[i] = access
+						mu.Unlock()
+
+						runtime.Gosched() // widen the overlap window
+
+						mu.Lock()
+						delete(active, i)
+						ran++
+						mu.Unlock()
+						release()
+					}()
+				}
+				wg.Wait()
+				if ran != tasks {
+					t.Fatalf("seed %d: ran %d of %d tasks — admission lost or starved work", seed, ran, tasks)
+				}
+				if w := d.waiters(); w != 0 {
+					t.Fatalf("seed %d: %d acquirers still parked after every task ran", seed, w)
+				}
+			})
+		}
+	})
 }

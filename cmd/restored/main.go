@@ -13,7 +13,7 @@
 //	restored -compact-every 10m                 # snapshot + log-truncation cadence
 //	restored -pigmix                            # preload the PigMix tables
 //	restored -heuristic conservative            # sub-job enumeration heuristic
-//	restored -workers 8 -barrier-window 32      # concurrent scheduler tuning
+//	restored -workers 8 -queue-depth 512        # worker slots; bounded queue behind them (overflow = 503)
 //	restored -keep-policy size-reduction,time-saving   # §5 rules 1+2
 //	restored -eviction-window 100               # §5 rule 3 (workflows)
 //	restored -repo-budget-bytes 1073741824      # LRU size budget (1 GiB)
@@ -64,11 +64,9 @@ func main() {
 		stateDir     = flag.String("state-dir", "", "directory for durable repository+DFS state (empty = in-memory only)")
 		walSync      = flag.Duration("wal-sync", server.DefaultWALSync, "WAL fsync cadence — the crash-loss window for acknowledged work (0 = fsync every record; requires -state-dir)")
 		compactEvery = flag.Duration("compact-every", 5*time.Minute, "WAL compaction interval: snapshot + log truncation under a drain barrier (requires -state-dir; 0 compacts only at shutdown)")
-		saveInterval = flag.Duration("save-interval", 0, "deprecated alias for -compact-every (overrides it when set)")
 		queueDepth   = flag.Int("queue-depth", 256, "bounded execution queue; overflow returns 503")
-		workers      = flag.Int("workers", 0, "execution worker pool: how many path-disjoint workflows run concurrently (0 = GOMAXPROCS, 1 = serialized)")
+		workers      = flag.Int("workers", 0, "execution worker pool: how many workflows execute, or wait for a conflicting one's lease, at once (0 = GOMAXPROCS, 1 = serialized)")
 		shards       = flag.Int("shards", 0, "execution-core shard count: DFS namespace, repository usage state, lease admission, WAL streams, and GC scanners split into N independently locked shards (0 = GOMAXPROCS, 1 = classic single-domain core)")
-		barrier      = flag.Int("barrier-window", 16, "FIFO overtake window: queued work may pass a blocked head only within the first N queue positions (1 = strict FIFO)")
 		heuristic    = flag.String("heuristic", "aggressive", "sub-job heuristic: off, conservative, aggressive, all")
 		preloadPig   = flag.Bool("pigmix", false, "preload the PigMix tables (15GB instance, laptop scale)")
 		keepPolicy   = flag.String("keep-policy", "all", "§5 keep rules: 'all', or a comma list of 'size-reduction' (rule 1) and 'time-saving' (rule 2)")
@@ -113,7 +111,6 @@ func main() {
 	if cfgWALSync == 0 {
 		cfgWALSync = server.SyncEveryRecord
 	}
-	cfgCompact := resolveCompactInterval(flag.CommandLine, *compactEvery, *saveInterval, logger)
 
 	opts := append([]restore.Option{
 		restore.WithHeuristic(h),
@@ -152,10 +149,9 @@ func main() {
 		System:          sys,
 		StateDir:        *stateDir,
 		WALSyncInterval: cfgWALSync,
-		CompactInterval: cfgCompact,
+		CompactInterval: *compactEvery,
 		QueueDepth:      *queueDepth,
 		Workers:         *workers,
-		BarrierWindow:   *barrier,
 		GCInterval:      *gcEvery,
 		SlowRingSize:    *slowRing,
 		Logger:          logger,
@@ -238,31 +234,6 @@ func engineOptions(mapPar, reduceTasks, reducePar int) []restore.Option {
 		restore.WithReducePartitions(reduceTasks),
 		restore.WithReduceParallelism(reducePar),
 	}
-}
-
-// resolveCompactInterval reconciles -compact-every with its deprecated alias
-// -save-interval. An explicitly set -compact-every always wins — previously
-// any -save-interval silently overrode it, even when -compact-every was
-// spelled out on the command line. -save-interval alone still works (with a
-// deprecation warning); with neither set, the -compact-every default applies.
-func resolveCompactInterval(fs *flag.FlagSet, compact, save time.Duration, logger *slog.Logger) time.Duration {
-	explicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "compact-every" {
-			explicit = true
-		}
-	})
-	if save > 0 {
-		if explicit {
-			logger.Warn("-save-interval is deprecated and ignored because -compact-every is set",
-				"compactEvery", compact, "saveInterval", save)
-			return compact
-		}
-		logger.Warn("-save-interval is deprecated; use -compact-every",
-			"saveInterval", save)
-		return save
-	}
-	return compact
 }
 
 // buildLogger assembles the daemon's structured logger from the -log-level

@@ -1,31 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
-	"log/slog"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	restore "repro"
 )
-
-// parseFlags builds a fresh FlagSet with the two persistence-cadence flags
-// (default values matching main) and parses args through it, so each case
-// sees exactly the flags the user typed — flag.Visit only reports
-// explicitly set flags, which is what the precedence fix keys on.
-func parseFlags(t *testing.T, args ...string) (*flag.FlagSet, time.Duration, time.Duration) {
-	t.Helper()
-	fs := flag.NewFlagSet("restored", flag.ContinueOnError)
-	compact := fs.Duration("compact-every", 5*time.Minute, "")
-	save := fs.Duration("save-interval", 0, "")
-	if err := fs.Parse(args); err != nil {
-		t.Fatalf("parse %v: %v", args, err)
-	}
-	return fs, *compact, *save
-}
 
 // TestEngineFlagWiring pins that the engine tuning flags reach the
 // MapReduce engine: -map-parallelism, -reduce-tasks, and
@@ -68,41 +49,5 @@ func TestEngineFlagWiring(t *testing.T) {
 	// later GOMAXPROCS change takes effect per job.
 	if n := runtime.GOMAXPROCS(0); n < 1 {
 		t.Fatalf("GOMAXPROCS = %d", n)
-	}
-}
-
-// TestResolveCompactIntervalPrecedence pins the -save-interval /
-// -compact-every reconciliation: an explicit -compact-every always wins, the
-// deprecated -save-interval applies only when it is the only one set, and
-// either use of -save-interval emits a deprecation warning.
-func TestResolveCompactIntervalPrecedence(t *testing.T) {
-	cases := []struct {
-		name     string
-		args     []string
-		want     time.Duration
-		wantWarn bool
-	}{
-		{"defaults", nil, 5 * time.Minute, false},
-		{"explicit compact-every", []string{"-compact-every", "2m"}, 2 * time.Minute, false},
-		{"save-interval alone (deprecated alias)", []string{"-save-interval", "90s"}, 90 * time.Second, true},
-		// The regression: -save-interval used to silently override an
-		// explicitly typed -compact-every.
-		{"explicit compact-every beats save-interval", []string{"-compact-every", "2m", "-save-interval", "90s"}, 2 * time.Minute, true},
-		{"order does not matter", []string{"-save-interval", "90s", "-compact-every", "2m"}, 2 * time.Minute, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fs, compact, save := parseFlags(t, tc.args...)
-			var buf bytes.Buffer
-			logger := slog.New(slog.NewTextHandler(&buf, nil))
-			got := resolveCompactInterval(fs, compact, save, logger)
-			if got != tc.want {
-				t.Errorf("resolveCompactInterval(%v) = %v, want %v", tc.args, got, tc.want)
-			}
-			warned := strings.Contains(buf.String(), "deprecated")
-			if warned != tc.wantWarn {
-				t.Errorf("deprecation warning emitted = %v, want %v (log: %q)", warned, tc.wantWarn, buf.String())
-			}
-		})
 	}
 }

@@ -243,14 +243,12 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-// TestEngineScalingShape pins the server-engine headline: the reduce-side
-// ordering kernel (sorted runs + compiled-comparator k-way merge) must beat
-// the serial concat-and-stable-sort reference by at least 2x wall-clock
-// while allocating at most half its bytes, and every whole-job row on the
-// default plane must beat the serial plane. The per-worker walls are NOT
-// asserted monotone: on a single-core host the reduce pool cannot overlap
-// partition work, so the sweep is ~flat there by design (the recorded
-// baseline documents the curve of the machine that recorded it).
+// TestEngineScalingShape pins the structure of the server-engine table: the
+// two kernel rows, the serial-plane job row, and one job row per swept
+// reduce-worker count. What the rows must show — the kernel's wall-clock and
+// allocation cut, every parallel-plane row under the serial one — depends on
+// the machine and its load, so those thresholds run under `make bench-shape`
+// (shape_benchshape_test.go), not in `go test ./...`.
 func TestEngineScalingShape(t *testing.T) {
 	table, err := EngineDataPlane(TinyConfig())
 	if err != nil {
@@ -259,36 +257,12 @@ func TestEngineScalingShape(t *testing.T) {
 	if want := 3 + len(engineReduceWorkerSweep); len(table.Rows) != want {
 		t.Fatalf("expected %d rows, got %d", want, len(table.Rows))
 	}
-	kSerial, kMerge := cell(t, table, 0, "wall_ms"), cell(t, table, 1, "wall_ms")
-	if kMerge < 1 {
-		kMerge = 1 // sub-millisecond kernel rounds round down to 0
-	}
-	if kSerial/kMerge < 2.0 {
-		t.Errorf("kernel speedup %.2fx below the 2x floor (serial %.0fms, merge %.0fms)", kSerial/kMerge, kSerial, kMerge)
-	}
-	// Under the race detector sync.Pool deliberately drops entries, so the
-	// pooled plane's allocation profile is meaningless there.
-	if !raceEnabled {
-		aSerial, aMerge := cell(t, table, 0, "alloc_mb"), cell(t, table, 1, "alloc_mb")
-		if aMerge > aSerial/2 {
-			t.Errorf("kernel allocation %.2fMB not cut >=50%% vs serial %.2fMB", aMerge, aSerial)
-		}
-	}
-	jSerial := cell(t, table, 2, "wall_ms")
-	for i := 3; i < len(table.Rows); i++ {
-		w := cell(t, table, i, "wall_ms")
-		if w >= jSerial {
-			t.Errorf("parallel plane (workers=%s) wall %.0fms not under serial plane %.0fms", table.Rows[i][1], w, jSerial)
-		}
-	}
 }
 
-// TestShardScalingShape pins the server-shard headline: the all-disjoint
-// workload must run strictly faster as the core's shard count grows, and
-// the 8-shard row must beat the single-domain core by a clear margin. The
-// asserted floor (2x) sits well under the recorded baseline (~3.8x) so the
-// test survives scheduler jitter; the recorded curve is the number that
-// matters.
+// TestShardScalingShape pins what the server-shard table must show on any
+// machine: one row per shard count, and an all-disjoint stream that neither
+// dedups nor sheds at any of them. The speedup floor and the monotone walls
+// are wall-clock claims and run under `make bench-shape`.
 func TestShardScalingShape(t *testing.T) {
 	table, err := ShardScaling(TinyConfig())
 	if err != nil {
@@ -297,17 +271,9 @@ func TestShardScalingShape(t *testing.T) {
 	if len(table.Rows) != 4 {
 		t.Fatalf("expected 4 rows (shards 1/2/4/8), got %d", len(table.Rows))
 	}
-	walls := make([]float64, len(table.Rows))
 	for i := range table.Rows {
-		walls[i] = cell(t, table, i, "wall_ms")
 		if sub, exe := cell(t, table, i, "submitted"), cell(t, table, i, "executed"); sub != exe {
 			t.Errorf("row %d: %v submitted but %v executed; the disjoint stream must not dedup or shed", i, sub, exe)
 		}
-	}
-	if walls[3] <= 0 || walls[0]/walls[3] < 2.0 {
-		t.Errorf("8-shard speedup %.2fx below the 2x floor (walls %v)", walls[0]/walls[3], walls)
-	}
-	if walls[1] >= walls[0] || walls[3] >= walls[1] {
-		t.Errorf("wall times not improving with shard count: %v", walls)
 	}
 }

@@ -116,7 +116,7 @@ func serverFleetRound(workers, clients int, baseWall *int64, table *Table) (wall
 	})
 	sys.SetBackend(coord)
 
-	srv, err := server.New(server.Config{System: sys, Workers: clients, BarrierWindow: 16, Fleet: coord})
+	srv, err := server.New(server.Config{System: sys, Workers: clients, Fleet: coord})
 	if err != nil {
 		return 0, err
 	}

@@ -96,7 +96,7 @@ func obsRound(disabled bool, clients, workers int) (wall time.Duration, submitte
 			return 0, 0, err
 		}
 	}
-	scfg := server.Config{System: sys, Workers: workers, BarrierWindow: 16}
+	scfg := server.Config{System: sys, Workers: workers}
 	if disabled {
 		scfg.Obs = obs.Disabled
 	}

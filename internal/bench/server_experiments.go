@@ -20,11 +20,11 @@ import (
 //     concurrent clients (every client submits every query, so identical
 //     in-flight submissions pile up on single-flight and the repository).
 //   - "disjoint": N clients each drive their own dataset and output
-//     namespace — an all-disjoint workload — first through the old
-//     single-worker FIFO configuration (workers=1, window=1), then through
-//     the conflict-aware concurrent scheduler. The speedup between those
-//     two rows is the scheduler's headline number: path-disjoint traffic
-//     no longer serializes.
+//     namespace — an all-disjoint workload — first through the
+//     single-worker configuration (workers=1), then through a worker
+//     pool the size of the client count. The speedup between those two
+//     rows is the headline number of lease-based admission: path-disjoint
+//     traffic does not serialize.
 //
 // The table reports wall-clock throughput, single-flight dedup, and the
 // repository hit rate under traffic.
@@ -47,11 +47,11 @@ func ServerThroughput(cfg Config) (*Table, error) {
 	// multicore the same pool also overlaps the CPU work.
 	const disjointClients = 8
 	workers := disjointClients
-	fifoWall, err := serverDisjointRound(disjointClients, 1, 1, table)
+	fifoWall, err := serverDisjointRound(disjointClients, 1, table)
 	if err != nil {
 		return nil, err
 	}
-	concWall, err := serverDisjointRound(disjointClients, workers, 16, table)
+	concWall, err := serverDisjointRound(disjointClients, workers, table)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ const disjointLatencyScale = 2.5e-4
 // private dataset and output namespace, and every query carries a distinct
 // plan (different filter constants), so neither single-flight nor the
 // repository can collapse the work — throughput is pure scheduling.
-func serverDisjointRound(clients, workers, window int, table *Table) (wallMS int64, err error) {
+func serverDisjointRound(clients, workers int, table *Table) (wallMS int64, err error) {
 	sys := restore.New(restore.WithJobLatency(disjointLatencyScale))
 	const rows = 3000
 	const queriesPerClient = 5
@@ -88,7 +88,7 @@ func serverDisjointRound(clients, workers, window int, table *Table) (wallMS int
 			return 0, err
 		}
 	}
-	srv, err := server.New(server.Config{System: sys, Workers: workers, BarrierWindow: window})
+	srv, err := server.New(server.Config{System: sys, Workers: workers})
 	if err != nil {
 		return 0, err
 	}

@@ -84,7 +84,7 @@ func serverShardRound(shards, clients int, baseWall *int64, table *Table) (wallM
 	sys.FS().SetOpLatency(shardOpLatency)
 	defer sys.FS().SetOpLatency(0)
 
-	srv, err := server.New(server.Config{System: sys, Workers: clients, BarrierWindow: 16})
+	srv, err := server.New(server.Config{System: sys, Workers: clients})
 	if err != nil {
 		return 0, err
 	}

@@ -19,7 +19,7 @@
 //     commit order, under the same shard write lock that applied it, as an
 //     absolute-state Mutation record; replaying a snapshot plus the
 //     journaled suffix (Apply) reconstructs the FS exactly.
-//     DirtyPaths/TakeDirty track which files changed since the last snapshot.
+//     TakeDirty/DirtyCount track which files changed since the last snapshot.
 //
 // The namespace is sharded (NewSharded): each path is owned by exactly one
 // shard — chosen by shardkey.Index, so a shard root's whole subtree
@@ -43,10 +43,6 @@ import (
 	"repro/internal/shardkey"
 	"repro/internal/types"
 )
-
-// DefaultBlockSize mirrors the classic HDFS 64 MB block, used to derive the
-// number of map tasks per input file.
-const DefaultBlockSize = 64 << 20
 
 // DefaultReplication is the HDFS default 3-way replication the paper's
 // cluster used.
@@ -116,9 +112,8 @@ type fsShard struct {
 // half-written partition, only a partition that is entirely present or
 // entirely absent.
 type FS struct {
-	shards    []fsShard
-	version   atomic.Uint64
-	blockSize int64
+	shards  []fsShard
+	version atomic.Uint64
 	// replication affects physical-byte accounting only; atomic so
 	// SetReplication needs no shard lock.
 	replication atomic.Int64
@@ -128,9 +123,6 @@ type FS struct {
 	// map tasks of parallel workflows never serialize on a shard lock.
 	bytesWritten atomic.Int64 // logical bytes written
 	bytesRead    atomic.Int64 // logical bytes read
-
-	// mutations counts committed mutations FS-wide (see journal.go).
-	mutations atomic.Uint64
 
 	// opLatency (ns), when set, is slept inside each mutating operation
 	// while its shard lock is held — emulating the namenode/commit RPC a
@@ -153,10 +145,7 @@ func NewSharded(n int) *FS {
 	if n < 1 {
 		n = 1
 	}
-	fs := &FS{
-		shards:    make([]fsShard, n),
-		blockSize: DefaultBlockSize,
-	}
+	fs := &FS{shards: make([]fsShard, n)}
 	fs.replication.Store(DefaultReplication)
 	for i := range fs.shards {
 		fs.shards[i].files = make(map[string]*File)
@@ -190,9 +179,6 @@ func (fs *FS) emulateOp() {
 		time.Sleep(time.Duration(d))
 	}
 }
-
-// BlockSize returns the configured block size.
-func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
 // Replication returns the configured replication factor.
 func (fs *FS) Replication() int { return int(fs.replication.Load()) }

@@ -99,8 +99,8 @@ func (fs *FS) SetShardJournals(js []Journal) {
 }
 
 // noteLocked records one committed mutation: it marks the file dirty (for
-// both the snapshot and eviction consumers), bumps the mutation counter, and
-// forwards the record to the shard's journal. Called with sh.mu held by
+// both the snapshot and eviction consumers) and forwards the record to the
+// shard's journal. Called with sh.mu held by
 // every mutating method, and sh must own m.Path.
 func (fs *FS) noteLocked(sh *fsShard, m Mutation) {
 	if sh.dirty == nil {
@@ -108,7 +108,6 @@ func (fs *FS) noteLocked(sh *fsShard, m Mutation) {
 	}
 	sh.dirty[m.Path] = struct{}{}
 	markEvictDirtyLocked(sh, m.Path)
-	fs.mutations.Add(1)
 	if sh.journal != nil {
 		sh.journal.Record(m)
 	}
@@ -123,27 +122,11 @@ func markEvictDirtyLocked(sh *fsShard, path string) {
 	sh.evictDirty[path] = struct{}{}
 }
 
-// DirtyPaths returns the sorted paths mutated since the last TakeDirty (or
-// since the FS was created/imported). A path stays dirty even if later
-// deleted — the deletion itself is a pending change the next snapshot must
-// capture.
-func (fs *FS) DirtyPaths() []string {
-	var out []string
-	for i := range fs.shards {
-		sh := &fs.shards[i]
-		sh.mu.RLock()
-		for p := range sh.dirty {
-			out = append(out, p)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TakeDirty returns the dirty paths and resets the tracking — the compactor
-// calls it when a snapshot has captured everything, so DirtyPaths afterwards
-// reports only post-snapshot churn.
+// TakeDirty returns the sorted paths mutated since the last TakeDirty (or
+// since the FS was created/imported) and resets the tracking — the compactor
+// calls it when a snapshot has captured everything, so DirtyCount afterwards
+// reports only post-snapshot churn. A path stays dirty even if later deleted:
+// the deletion itself is a pending change the next snapshot must capture.
 func (fs *FS) TakeDirty() []string {
 	var out []string
 	for i := range fs.shards {
@@ -166,7 +149,7 @@ func (fs *FS) TakeDirty() []string {
 // only on repository entries touching the returned paths, so per-query
 // invalidation work scales with what changed rather than with repository
 // size. The feed is independent of the snapshot consumer
-// (DirtyPaths/TakeDirty); any one taker owns a returned batch exclusively.
+// (TakeDirty/DirtyCount); any one taker owns a returned batch exclusively.
 func (fs *FS) TakeEvictionDirty() []string {
 	var out []string
 	for i := range fs.shards {
@@ -193,12 +176,8 @@ func (fs *FS) TakeEvictionDirtyShard(i int) []string {
 	return out
 }
 
-// MutationCount returns the number of mutations committed over the FS's
-// lifetime (monotonic; snapshot Import does not reset it).
-func (fs *FS) MutationCount() uint64 { return fs.mutations.Load() }
-
 // DirtyCount reports how many files are dirty (metrics poll this on every
-// scrape, where materializing DirtyPaths would be wasted work).
+// scrape, so it counts without materializing the paths).
 func (fs *FS) DirtyCount() int {
 	n := 0
 	for i := range fs.shards {
@@ -272,6 +251,5 @@ func (fs *FS) Apply(m Mutation) error {
 	}
 	sh.dirty[m.Path] = struct{}{}
 	markEvictDirtyLocked(sh, m.Path)
-	fs.mutations.Add(1)
 	return nil
 }

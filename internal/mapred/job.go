@@ -84,9 +84,6 @@ func (j *Job) Blocking() *physical.Operator { return j.blocking }
 // MapSide reports whether the operator runs in the map phase.
 func (j *Job) MapSide(id int) bool { return j.mapSide[id] }
 
-// ReduceSide reports whether the operator runs in the reduce phase.
-func (j *Job) ReduceSide(id int) bool { return j.reduceSide[id] }
-
 // InputPaths returns the DFS paths the job loads, sorted and deduplicated.
 func (j *Job) InputPaths() []string {
 	seen := make(map[string]bool)
@@ -107,18 +104,6 @@ func (j *Job) OutputPaths() []string {
 	var out []string
 	for _, o := range j.Plan.Sinks() {
 		out = append(out, o.Path)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PrimaryOutputPaths returns the job's own (non-injected) store paths.
-func (j *Job) PrimaryOutputPaths() []string {
-	var out []string
-	for _, o := range j.Plan.Sinks() {
-		if !o.Injected {
-			out = append(out, o.Path)
-		}
 	}
 	sort.Strings(out)
 	return out

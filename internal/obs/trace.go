@@ -21,8 +21,9 @@ type Stage uint8
 const (
 	// StageParse is System.Prepare: parse, logical plan, MapReduce compile.
 	StageParse Stage = iota
-	// StageQueue is the wait in the server's conflict-aware scheduler queue
-	// (submit to dispatch on a worker slot).
+	// StageQueue is the wait for a worker slot in the server's scheduler
+	// (submit to the start of the task); which tasks may overlap is decided
+	// afterwards, inside the slot, and shows up as StageLease.
 	StageQueue
 	// StageFlightWait is a deduped submission's wait on its flight leader's
 	// execution (the joiner runs no stages of its own).

@@ -3,85 +3,11 @@ package server
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
 	restore "repro"
 )
-
-// Property tests for the conflict-aware scheduler. Seeds are fixed so a
-// failure reproduces: re-run with the seed printed in the failure message.
-
-// randAccess draws a small access set from a hierarchical path universe, so
-// generated sets exercise exact, prefix, and disjoint overlaps.
-func randAccess(rng *rand.Rand) restore.AccessSet {
-	universe := []string{
-		"in/a", "in/b", "in/c",
-		"out/a", "out/a/x", "out/a/y", "out/b", "out/b/deep/leaf", "out/c",
-		"restore/tmp/q1", "restore/tmp/q2",
-	}
-	var a restore.AccessSet
-	for i := 0; i < 1+rng.Intn(3); i++ {
-		a.Reads = append(a.Reads, universe[rng.Intn(len(universe))])
-	}
-	for i := 0; i < 1+rng.Intn(2); i++ {
-		a.Writes = append(a.Writes, universe[rng.Intn(len(universe))])
-	}
-	if rng.Intn(40) == 0 {
-		a = restore.UniversalAccess() // occasional checkpoint-like task
-	}
-	return a
-}
-
-// TestPropertySchedulerNeverRunsConflictsConcurrently generates random
-// workloads and asserts the two safety/liveness properties the scheduler
-// promises: no two conflicting tasks are ever in flight together, and
-// every task eventually runs (disjoint ones are not starved, blocked ones
-// are not dropped).
-func TestPropertySchedulerNeverRunsConflictsConcurrently(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			const tasks = 80
-			s := newScheduler(tasks+1, 4, 8)
-
-			var mu sync.Mutex
-			active := make(map[int]restore.AccessSet)
-			ran := 0
-			for i := 0; i < tasks; i++ {
-				i := i
-				access := randAccess(rng)
-				err := s.submit(access, func() {
-					mu.Lock()
-					for j, other := range active {
-						if access.ConflictsWith(other) {
-							t.Errorf("seed %d: task %d (%+v) ran concurrently with conflicting task %d (%+v)",
-								seed, i, access, j, other)
-						}
-					}
-					active[i] = access
-					mu.Unlock()
-
-					runtime.Gosched() // widen the overlap window
-
-					mu.Lock()
-					delete(active, i)
-					ran++
-					mu.Unlock()
-				})
-				if err != nil {
-					t.Fatalf("seed %d: submit %d: %v", seed, i, err)
-				}
-			}
-			s.close()
-			if ran != tasks {
-				t.Fatalf("seed %d: ran %d of %d tasks — scheduler lost or starved work", seed, ran, tasks)
-			}
-		})
-	}
-}
 
 // TestPropertyConcurrentEqualsSerial is the end-to-end equivalence
 // property: a random write-disjoint workload executed concurrently through

@@ -65,10 +65,9 @@ func TestEndToEndMixedConflictTrafficWithMidRunCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, stop := startDaemon(t, Config{
-		System:        sys,
-		StateDir:      stateDir,
-		Workers:       4,
-		BarrierWindow: 8,
+		System:   sys,
+		StateDir: stateDir,
+		Workers:  4,
 	})
 
 	const clients = 6
@@ -180,9 +179,9 @@ func TestEndToEndConcurrentClientsWithRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, stop := startDaemon(t, Config{
-		System:       sys,
-		StateDir:     stateDir,
-		SaveInterval: 5 * time.Millisecond, // exercise the periodic path too
+		System:          sys,
+		StateDir:        stateDir,
+		CompactInterval: 5 * time.Millisecond, // exercise the periodic path too
 	})
 
 	// A background inspector hammers the read-only endpoints while queries

@@ -382,74 +382,3 @@ func TestHotPathEvictionRaceStress(t *testing.T) {
 			m.QueriesSubmitted, m.QueriesExecuted, m.QueriesDeduped, m.QueriesFailed)
 	}
 }
-
-// TestRetryAccountingIdentity is the satellite-1 regression test: a forced
-// retryable failure (the in-slot rows read loses its stored file) must
-// count the failed attempt — in queriesFailed, its cause split, the
-// slow-query ring, and the completion log — while the retry succeeds, and
-// the submitted = executed + deduped + failed identity must hold across
-// both attempts.
-func TestRetryAccountingIdentity(t *testing.T) {
-	srv, c := newTestServer(t)
-	uploadPages(t, c)
-
-	var once sync.Once
-	srv.testRowsHook = func(res *restore.Result) {
-		once.Do(func() {
-			// Delete one produced output between execution and the in-slot
-			// rows read — the window the retry exists for.
-			for _, actual := range res.Outputs {
-				if err := srv.sys.FS().Delete(actual); err != nil {
-					t.Errorf("hook delete %s: %v", actual, err)
-				}
-				return
-			}
-		})
-	}
-
-	resp, err := c.Submit(projectQuery, true)
-	if err != nil {
-		t.Fatalf("submit (expected transparent retry): %v", err)
-	}
-	if len(resp.Rows["out/projected"]) == 0 {
-		t.Fatal("retried query returned no rows")
-	}
-
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.QueriesSubmitted != 2 {
-		t.Errorf("queriesSubmitted = %d, want 2 (failed attempt + retry)", m.QueriesSubmitted)
-	}
-	if m.QueriesExecuted != 1 || m.QueriesFailed != 1 || m.QueriesDeduped != 0 {
-		t.Errorf("executed=%d failed=%d deduped=%d, want 1/1/0",
-			m.QueriesExecuted, m.QueriesFailed, m.QueriesDeduped)
-	}
-	if m.QueriesFailedExec != 1 || m.QueriesFailedParse != 0 || m.QueriesFailedShed != 0 {
-		t.Errorf("failure split exec=%d parse=%d shed=%d, want 1/0/0",
-			m.QueriesFailedExec, m.QueriesFailedParse, m.QueriesFailedShed)
-	}
-	if m.QueriesSubmitted != m.QueriesExecuted+m.QueriesDeduped+m.QueriesFailed {
-		t.Error("submitted = executed + deduped + failed identity broken across the retry")
-	}
-
-	// The failed attempt must be visible in the slow-query ring (the bug:
-	// `continue` skipped finishQuery, so it vanished).
-	slow, err := c.Slow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) != 2 {
-		t.Fatalf("slow ring holds %d completions, want 2 (failed attempt + retry)", len(slow))
-	}
-	failed := 0
-	for _, sq := range slow {
-		if sq.Error != "" {
-			failed++
-		}
-	}
-	if failed != 1 {
-		t.Errorf("slow ring holds %d failed completions, want exactly 1", failed)
-	}
-}

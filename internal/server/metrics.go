@@ -96,7 +96,8 @@ type MetricsSnapshot struct {
 	QPS1m      float64 `json:"qps1m"`
 	QueueDepth int64   `json:"queueDepth"`
 	// Executing counts tasks running on the worker pool right now; Workers
-	// is the pool size (how many path-disjoint workflows may run at once).
+	// is the pool size (how many tasks may execute, or wait for a
+	// conflicting one's lease, at once).
 	Executing int64 `json:"executing"`
 	Workers   int64 `json:"workers"`
 	Uploads   int64 `json:"uploads"`

@@ -99,9 +99,9 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	p.series(`restore_queries_failed_total{cause="exec"}`, snap.QueriesFailedExec)
 	p.gauge("restore_qps", "Lifetime average submissions per second.", snap.QPS)
 	p.gauge("restore_qps_1m", "Submissions per second over the trailing 60s window.", snap.QPS1m)
-	p.gauge("restore_queue_depth", "Tasks waiting in the conflict-aware scheduler queue.", float64(s.sched.queueDepth()))
+	p.gauge("restore_queue_depth", "Tasks waiting for a worker slot or holding one.", float64(s.sched.queueDepth()))
 	p.gauge("restore_executing", "Tasks running on the worker pool right now.", float64(s.sched.executing()))
-	p.gauge("restore_workers", "Worker-pool size (max concurrent path-disjoint workflows).", float64(s.sched.workers))
+	p.gauge("restore_workers", "Worker-pool size (slots: tasks executing or waiting for a lease at once).", float64(s.sched.workers))
 	p.counter("restore_uploads_total", "Dataset uploads accepted.", snap.Uploads)
 	p.counter("restore_checkpoints_total", "Completed WAL compactions (periodic, manual, shutdown).", snap.Checkpoints)
 	p.counter("restore_gc_runs_total", "Background growth-management passes.", snap.GCRuns)

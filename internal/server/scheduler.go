@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	restore "repro"
 )
 
 // Errors surfaced to HTTP handlers as 503s.
@@ -15,34 +13,19 @@ var (
 	errQueueFull    = errors.New("server: execution queue full")
 )
 
-// task is one unit of DFS-mutating work awaiting dispatch.
-type task struct {
-	access restore.AccessSet
-	fn     func()
-}
-
-// scheduler dispatches DFS-mutating work — query execution, dataset
-// writes, checkpoints — onto a bounded worker pool, admitting concurrently
-// only tasks whose declared read/write path sets are mutually disjoint
-// (see conflict.go). Request goroutines keep parsing, planning, matching,
-// and serving reads outside it; only mutating phases funnel through here.
-//
-// Admission is FIFO-fair with a bounded overtake window: a blocked head
-// (conflicting with in-flight work) lets later path-disjoint tasks pass,
-// but never more than barrier-window positions deep, and never a task that
-// conflicts with anything queued ahead of it. A bounded queue turns
-// overload into backpressure (errQueueFull -> 503) instead of unbounded
-// memory growth. With workers=1 and window=1 the scheduler degrades to the
-// old single-worker FIFO.
+// scheduler runs DFS-mutating work — query execution, dataset writes,
+// checkpoints — on a bounded number of worker slots, FIFO. It decides how
+// much runs at once and how much may wait, never what may overlap: that is
+// the System's lease table (restore.AccessSet, access.go), which every task
+// acquires inside its slot. A bounded queue turns overload into
+// backpressure (errQueueFull -> 503) instead of unbounded memory growth.
 type scheduler struct {
-	mu       sync.Mutex
-	closed   bool
-	queue    []*task
-	inflight map[*task]struct{}
-	running  int
+	mu      sync.Mutex
+	closed  bool
+	queue   []func()
+	running int
 
 	workers  int
-	window   int
 	maxQueue int
 
 	depth   atomic.Int64 // queued + running (metrics)
@@ -50,81 +33,75 @@ type scheduler struct {
 	doneSet bool
 }
 
-func newScheduler(queueDepth, workers, window int) *scheduler {
+func newScheduler(queueDepth, workers int) *scheduler {
 	if queueDepth < 1 {
 		queueDepth = 256
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	if window < 1 {
-		window = 16
-	}
-	return &scheduler{
-		inflight: make(map[*task]struct{}),
-		workers:  workers,
-		window:   window,
-		maxQueue: queueDepth,
-		done:     make(chan struct{}),
-	}
+	return &scheduler{workers: workers, maxQueue: queueDepth, done: make(chan struct{})}
 }
 
-// submit enqueues fn for execution under the given access set. It never
-// blocks: a full queue is reported as errQueueFull so callers can shed
-// load.
-func (s *scheduler) submit(access restore.AccessSet, fn func()) error {
+// submit runs fn on a free worker slot, or queues it behind the work
+// already waiting for one. It never blocks: a full queue is reported as
+// errQueueFull so callers can shed load. Only the queued backlog is
+// bounded; running tasks occupy worker slots, not queue capacity.
+func (s *scheduler) submit(fn func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch {
+	case s.closed:
 		return errShuttingDown
-	}
-	// Bound the *queued* backlog only (as PR-1's channel did): running
-	// tasks occupy worker slots, not queue capacity.
-	if len(s.queue) >= s.maxQueue {
+	case s.running < s.workers:
+		s.running++
+		go s.work(fn)
+	case len(s.queue) >= s.maxQueue:
 		return errQueueFull
+	default:
+		s.queue = append(s.queue, fn)
 	}
-	s.queue = append(s.queue, &task{access: access, fn: fn})
 	s.depth.Add(1)
-	s.dispatchLocked()
 	return nil
 }
 
-// dispatchLocked starts every currently-eligible task on its own worker
-// slot. Called with mu held, on submit and on task completion.
-func (s *scheduler) dispatchLocked() {
-	sets := make([]restore.AccessSet, 0, len(s.inflight)+1)
-	for t := range s.inflight {
-		sets = append(sets, t.access)
+// run is submit that also waits for fn to finish.
+func (s *scheduler) run(fn func()) error {
+	done := make(chan struct{})
+	if err := s.submit(func() {
+		defer close(done)
+		fn()
+	}); err != nil {
+		return err
 	}
-	for s.running < s.workers {
-		i := nextDispatchable(s.queue, sets, s.window)
-		if i < 0 {
-			break
-		}
-		t := s.queue[i]
-		s.queue = append(s.queue[:i], s.queue[i+1:]...)
-		s.inflight[t] = struct{}{}
-		sets = append(sets, t.access)
-		s.running++
-		go s.runTask(t)
-	}
-	s.maybeFinishLocked()
+	<-done
+	return nil
 }
 
-func (s *scheduler) runTask(t *task) {
-	t.fn()
-	s.mu.Lock()
-	delete(s.inflight, t)
-	s.running--
-	s.depth.Add(-1)
-	s.dispatchLocked()
-	s.mu.Unlock()
+// work occupies one worker slot: it runs fn, then the queue head, until the
+// queue is empty.
+func (s *scheduler) work(fn func()) {
+	for {
+		fn()
+		s.depth.Add(-1)
+		s.mu.Lock()
+		if len(s.queue) == 0 {
+			s.running--
+			s.maybeFinishLocked()
+			s.mu.Unlock()
+			return
+		}
+		fn, s.queue[0] = s.queue[0], nil // drop the backing array's reference
+		s.queue = s.queue[1:]
+		s.mu.Unlock()
+	}
 }
 
 // maybeFinishLocked closes done once the scheduler is closed and fully
-// drained.
+// drained (work only queues while every slot is busy, so no running slot
+// means no queue either).
 func (s *scheduler) maybeFinishLocked() {
-	if s.closed && !s.doneSet && len(s.queue) == 0 && s.running == 0 {
+	if s.closed && !s.doneSet && s.running == 0 {
 		s.doneSet = true
 		close(s.done)
 	}
@@ -133,7 +110,7 @@ func (s *scheduler) maybeFinishLocked() {
 // queueDepth reports the number of queued-or-running tasks.
 func (s *scheduler) queueDepth() int64 { return s.depth.Load() }
 
-// executing reports the number of tasks running right now.
+// executing reports the number of occupied worker slots.
 func (s *scheduler) executing() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,13 +8,13 @@
 //
 //   - Request goroutines parse, plan, compile (System.Prepare), and serve
 //     all read-only endpoints concurrently.
-//   - A conflict-aware scheduler dispatches the DFS-mutating phases
-//     (eviction, rewrite, engine execution, registration, dataset uploads,
-//     checkpoints) onto a worker pool: tasks whose declared read/write
-//     path sets are mutually disjoint execute in parallel, conflicting
-//     tasks wait FIFO (with a bounded overtake window for fairness), and
-//     checkpoints are write-set-universal tasks that drain everything. A
-//     bounded queue provides backpressure.
+//   - A scheduler runs the DFS-mutating phases (eviction, rewrite, engine
+//     execution, registration, dataset uploads, checkpoints) on a bounded
+//     worker pool behind a bounded FIFO queue (backpressure). Which of them
+//     may overlap is decided in exactly one place, the System's lease table
+//     (restore.AccessSet): work on mutually disjoint read/write path sets
+//     executes in parallel, conflicting work is admitted FIFO, and
+//     checkpoints take the universal lease that drains everything.
 //   - A single-flight group deduplicates semantically identical in-flight
 //     queries — keyed on the prepared workflow's canonical plan fingerprint
 //     (restore.Prepared.FlightKey), so scripts differing only in whitespace
@@ -29,9 +29,11 @@
 //
 // Invariants:
 //
-//   - Two tasks whose declared access sets conflict never execute
-//     concurrently, and a blocked task is never overtaken by a conflicting
-//     or out-of-window one (see conflict.go).
+//   - Two operations whose declared access sets conflict never execute
+//     concurrently, and a blocked one is never overtaken by a conflicting
+//     later arrival (leaseTable.promote/blocked in the root access.go).
+//   - Rows returned to a client are read while the execution's lease and
+//     pins are still held, so they are the bytes that query produced.
 //   - Everything the daemon has acknowledged to a client is either in the
 //     WAL within one -wal-sync window or already in the snapshot pair;
 //     recovery converges to the exact state at the end of the log no
@@ -83,29 +85,22 @@ type Config struct {
 	// are recovered from it at startup (snapshot + WAL replay) and every
 	// later mutation is write-ahead-logged into it.
 	StateDir string
-	// SaveInterval is the legacy name for CompactInterval and is used only
-	// when CompactInterval is zero. <= 0 compacts only at shutdown (and on
-	// explicit POST /v1/checkpoint).
-	SaveInterval time.Duration
 	// WALSyncInterval is how often buffered WAL records are fsynced (the
 	// crash-loss window). 0 selects the default (100ms);
 	// SyncEveryRecord (-1) fsyncs inside every mutation.
 	WALSyncInterval time.Duration
 	// CompactInterval is how often the WAL is compacted into a fresh
-	// snapshot pair (a universal drain). 0 falls back to SaveInterval.
-	// Compaction is skipped when nothing changed since the last one.
+	// snapshot pair (a universal drain). <= 0 compacts only at shutdown (and
+	// on explicit POST /v1/checkpoint). Compaction is skipped when nothing
+	// changed since the last one.
 	CompactInterval time.Duration
 	// QueueDepth bounds the execution queue (default 256); a full queue
 	// rejects submissions with 503.
 	QueueDepth int
-	// Workers is the execution worker-pool size: how many path-disjoint
-	// workflows may execute concurrently (default GOMAXPROCS). 1 restores
-	// strictly serialized execution.
+	// Workers is the execution worker-pool size: how many workflows may
+	// execute (or wait for a conflicting one's lease) at once (default
+	// GOMAXPROCS). 1 restores strictly serialized execution.
 	Workers int
-	// BarrierWindow bounds FIFO overtaking: a queued task may only be
-	// dispatched ahead of a blocked task if it sits within the first
-	// BarrierWindow queue positions (default 16; 1 = strict FIFO).
-	BarrierWindow int
 	// Obs is the telemetry registry the daemon (and its System) records
 	// latency histograms and gauges into. nil installs a fresh active
 	// registry — or adopts one already set on the System via
@@ -157,11 +152,6 @@ type Server struct {
 	saveWG    sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
-	// testRowsHook, when set (tests only), runs after a successful
-	// execution and before the in-slot rows read — the window in which a
-	// disjoint query's eviction can delete an aliased stored file. Tests
-	// use it to force that race deterministically.
-	testRowsHook func(*restore.Result)
 	// compacting lets the periodic compaction run off the persistLoop
 	// goroutine (it blocks on a full drain) without piling up: at most one
 	// timer-driven compaction is in flight.
@@ -199,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		sys:      sys,
-		sched:    newScheduler(cfg.QueueDepth, workers, cfg.BarrierWindow),
+		sched:    newScheduler(cfg.QueueDepth, workers),
 		mux:      http.NewServeMux(),
 		stopSave: make(chan struct{}),
 		obsReg:   reg,
@@ -227,13 +217,9 @@ func New(cfg Config) (*Server, error) {
 		if walSync == 0 {
 			walSync = DefaultWALSync
 		}
-		compactEvery := cfg.CompactInterval
-		if compactEvery == 0 {
-			compactEvery = cfg.SaveInterval
-		}
-		if walSync > 0 || compactEvery > 0 {
+		if walSync > 0 || cfg.CompactInterval > 0 {
 			s.saveWG.Add(1)
-			go s.persistLoop(walSync, compactEvery)
+			go s.persistLoop(walSync, cfg.CompactInterval)
 		}
 	}
 
@@ -412,36 +398,28 @@ func (s *Server) shardGCLoop(shard int, every time.Duration) {
 	}
 }
 
-// checkpointNow schedules a compaction as a write-set-universal task and
-// waits for it: the scheduler lets every in-flight execution finish, keeps
-// everything queued behind it parked, and only then snapshots and
-// truncates the WAL — the drain barrier that keeps the repository+DFS
-// snapshot pair consistent. (persister.compact quiesces the System too, so
-// even compactions that bypass the scheduler — shutdown's — drain
-// in-flight work.) Routine durability does NOT come through here: WAL
-// flushes happen on their own cadence without any lease.
+// checkpointNow runs a compaction on a worker slot and waits for it:
+// persister.compact quiesces the System — the universal lease lets every
+// in-flight execution finish and keeps everything arriving behind it
+// parked — and only then snapshots and truncates the WAL, the drain barrier
+// that keeps the repository+DFS snapshot pair consistent. Routine
+// durability does NOT come through here: WAL flushes happen on their own
+// cadence without any lease.
 func (s *Server) checkpointNow() error {
 	if s.persist == nil {
 		// A client asking a stateless daemon to checkpoint is the client's
 		// mistake (400), not a server fault.
 		return badRequestError{errors.New("server: no state directory configured")}
 	}
-	type outcome struct {
-		did bool
-		err error
-	}
-	ch := make(chan outcome, 1)
-	if err := s.sched.submit(restore.UniversalAccess(), func() {
-		did, err := s.persist.compact()
-		ch <- outcome{did, err}
-	}); err != nil {
+	var did bool
+	var cerr error
+	if err := s.sched.run(func() { did, cerr = s.persist.compact() }); err != nil {
 		return err
 	}
-	o := <-ch
-	if o.err != nil {
-		return o.err
+	if cerr != nil {
+		return cerr
 	}
-	if o.did {
+	if did {
 		// Skipped no-op compactions (clean system) are not checkpoints;
 		// this counter stays in step with WALStats.Compactions.
 		s.met.checkpoints.Add(1)
@@ -526,40 +504,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wantTrace := r.URL.Query().Get("trace") == "1"
-	// One retry, as a true last resort: flight sealing reads rows for every
-	// joiner inside the leader's execution slot, so the fallback read that
-	// could race eviction is nearly unreachable — but a leader whose own
-	// in-slot read loses to a disjoint query's eviction still benefits from
-	// re-submitting (typically rewritten against the repository) instead of
-	// surfacing a 500 for a query that succeeded. The retry counts as a
-	// fresh submission (with its own trace) so the metrics identity
-	// submitted = executed + deduped + failed keeps holding.
-	for attempt := 0; ; attempt++ {
-		begin := time.Now()
-		s.met.submitted.Add(1)
-		s.met.rate.Mark(begin)
-		tr := obs.NewTrace(begin)
-		out := s.runQueryOnce(&req, tr)
-		snap := tr.Snapshot()
-		s.obsReg.ObserveQuery(time.Duration(snap.TotalNanos))
-		if out.err != nil && out.retryable && attempt == 0 {
-			// The failed attempt is a completed submission: it must reach
-			// the slow-query ring and emit its completion line like any
-			// other failure before the retry replaces it.
-			s.finishQuery(&req, out, begin, snap)
-			continue
-		}
-		s.finishQuery(&req, out, begin, snap)
-		if out.err != nil {
-			writeError(w, out.err)
-			return
-		}
-		if wantTrace {
-			out.resp.Trace = snap
-		}
-		writeJSON(w, http.StatusOK, out.resp)
+	begin := time.Now()
+	s.met.submitted.Add(1)
+	s.met.rate.Mark(begin)
+	tr := obs.NewTrace(begin)
+	out := s.runQuery(&req, tr)
+	snap := tr.Snapshot()
+	s.obsReg.ObserveQuery(time.Duration(snap.TotalNanos))
+	s.finishQuery(&req, out, begin, snap)
+	if out.err != nil {
+		writeError(w, out.err)
 		return
 	}
+	if wantTrace {
+		out.resp.Trace = snap
+	}
+	writeJSON(w, http.StatusOK, out.resp)
 }
 
 // finishQuery folds one finished submission (success or failure) into the
@@ -603,21 +563,15 @@ func shortKey(k string) string {
 }
 
 // queryOutcome is one submission's final disposition: the response (on
-// success), its flight key (empty when preparation failed), whether the
-// error is worth one resubmission, and the failure-cause bucket it was
-// counted under.
+// success), its flight key (empty when preparation failed), and the error.
 type queryOutcome struct {
 	resp      QueryResponse
 	flightKey string
-	retryable bool
 	err       error
 }
 
-// runQueryOnce runs one submission through single-flight and the scheduler,
+// runQuery runs one submission through single-flight and the scheduler,
 // recording its stage spans on tr (and the registry's stage histograms).
-// retryable reports an error worth one resubmission: the execution
-// succeeded but its rows could not be read because a reused stored file was
-// evicted in between.
 //
 // Every submission prepares (parse/plan/compile — lock-free) to derive its
 // canonical flight key, so semantically identical scripts dedup onto one
@@ -625,7 +579,7 @@ type queryOutcome struct {
 // theirs. The trace belongs to this submission: a flight leader's closure
 // records the queue and execution stages into it, a joiner records only
 // parse and flightWait (its wall-clock is the leader's execution).
-func (s *Server) runQueryOnce(req *QueryRequest, tr *obs.Trace) queryOutcome {
+func (s *Server) runQuery(req *QueryRequest, tr *obs.Trace) queryOutcome {
 	t := time.Now()
 	p, _, perr := s.sys.PrepareCached(req.Script)
 	// The registry's parse histogram is recorded inside PrepareCached; only
@@ -638,44 +592,45 @@ func (s *Server) runQueryOnce(req *QueryRequest, tr *obs.Trace) queryOutcome {
 	o := queryOutcome{flightKey: p.FlightKey()}
 	tFlight := time.Now()
 	out, shared := s.flights.do(p.FlightKey(), req.ReadOutputs, func(fl *flightHandle) flightOutcome {
+		var fo flightOutcome
+		// read is handed to whichever path serves the flight, and runs while
+		// that path still protects the result's files: inside the fast
+		// path's pin window, or inside the execution's lease and pins.
+		// Sealing there fixes the set of joiners — no new one can arrive
+		// afterwards, so the wantRows answer is final — and every member
+		// that asked for rows gets them from files no conflicting writer or
+		// concurrent eviction can touch.
+		read := func(r *restore.Result) error {
+			if !fl.seal() {
+				return nil
+			}
+			tRows := time.Now()
+			rows, err := readRows(s.sys, r)
+			if err != nil {
+				return err
+			}
+			s.obsReg.ObserveStage(obs.StageRows, tr.ObserveSince(obs.StageRows, tRows))
+			fo.rows = rows
+			return nil
+		}
 		// Admission-time fast path: when the fingerprint index proves a
-		// fresh whole-query match, serve the stored bytes right here —
-		// no scheduler queueing, no lease, no execution. The flight is
-		// sealed inside the pin window, so every joiner's rows come from
-		// files that cannot be evicted mid-read.
-		if fo, ok := s.tryHotServe(p, tr, fl); ok {
+		// fresh whole-query match, serve the stored bytes right here — no
+		// worker slot, no lease, no execution. A concurrently evicted
+		// entry fails its pin or freshness check inside the probe and
+		// lands on the normal path below, never serving deleted bytes.
+		if res, ok := s.sys.TryServeStored(p, tr, read); ok {
+			s.met.hot.Add(1)
+			fo.res = res
 			return fo
 		}
 		tQueue := time.Now()
-		ch := make(chan flightOutcome, 1)
-		if serr := s.sched.submit(p.Access(), func() {
+		if err := s.sched.run(func() {
 			s.obsReg.ObserveStage(obs.StageQueue, tr.ObserveSince(obs.StageQueue, tQueue))
-			var fo flightOutcome
-			fo.res, fo.err = s.sys.ExecutePreparedTraced(p, tr)
-			if fo.err == nil {
-				if h := s.testRowsHook; h != nil {
-					h(fo.res)
-				}
-				// Seal before leaving the slot: no new joiner can arrive
-				// after this, so the wantRows answer is final — every
-				// member that asked for rows gets them read here, inside
-				// the execution slot. The slot's access set keeps
-				// conflicting work out, but a *disjoint* concurrent
-				// query's eviction can still delete a stored file these
-				// outputs alias (the execution's pins were released when
-				// ExecutePrepared returned) — mark that case retryable.
-				if fl.seal() {
-					tRows := time.Now()
-					fo.rows, fo.err = readRows(s.sys, fo.res)
-					fo.rowsFailed = fo.err != nil
-					s.obsReg.ObserveStage(obs.StageRows, tr.ObserveSince(obs.StageRows, tRows))
-				}
-			}
-			ch <- fo
-		}); serr != nil {
-			return flightOutcome{err: serr}
+			fo.res, fo.err = s.sys.ExecutePreparedTraced(p, tr, read)
+		}); err != nil {
+			return flightOutcome{err: err}
 		}
-		return <-ch
+		return fo
 	})
 	if shared {
 		// Joiner: its whole wait was the leader's execution.
@@ -684,95 +639,23 @@ func (s *Server) runQueryOnce(req *QueryRequest, tr *obs.Trace) queryOutcome {
 	// Each submission lands in exactly one bucket — executed, deduped, or
 	// failed — once its final outcome is known, so the identity
 	// submitted = executed + deduped + failed holds: a joiner of a failed
-	// flight counts as failed (not deduped), and a submission whose rows
-	// read fails after a successful execution counts as failed too.
+	// flight counts as failed (not deduped).
 	if out.err != nil {
 		cause := failExec
 		if errors.Is(out.err, errQueueFull) || errors.Is(out.err, errShuttingDown) {
 			cause = failShed
 		}
 		s.met.fail(cause)
-		// rowsFailed: the execution itself succeeded but the post-execution
-		// rows read lost a race with a disjoint query's eviction; one
-		// resubmission re-executes (typically rewritten) instead of 500ing.
-		o.retryable, o.err = out.rowsFailed, out.err
+		o.err = out.err
 		return o
 	}
-
 	o.resp = QueryResponse{Deduped: shared, Result: out.res, Rows: out.rows}
-	if req.ReadOutputs && o.resp.Rows == nil {
-		// True last resort: flight sealing makes every joiner's interest
-		// visible before the in-slot read, so this fallback should be
-		// unreachable for joiners — it remains as defense in depth (e.g. a
-		// future flight function that skips its seal point). Read through
-		// the scheduler under a read-only access set on the actual output
-		// files, so the read serializes with writers of those paths but
-		// rides alongside disjoint work.
-		reads := make([]string, 0, len(out.res.Outputs))
-		for _, actual := range out.res.Outputs {
-			reads = append(reads, actual)
-		}
-		tRows := time.Now()
-		ch := make(chan flightOutcome, 1)
-		if err := s.sched.submit(restore.AccessSet{Reads: reads}, func() {
-			var fo flightOutcome
-			fo.rows, fo.err = readRows(s.sys, out.res)
-			ch <- fo
-		}); err != nil {
-			s.met.fail(failShed)
-			o.err = err
-			return o
-		}
-		lo := <-ch
-		s.obsReg.ObserveStage(obs.StageRows, tr.ObserveSince(obs.StageRows, tRows))
-		if lo.err != nil {
-			// The aliased stored file was evicted between execution and
-			// this read; let the caller resubmit once.
-			s.met.fail(failExec)
-			o.retryable, o.err = true, lo.err
-			return o
-		}
-		o.resp.Rows = lo.rows
-	}
 	if shared {
 		s.met.deduped.Add(1)
 	} else {
 		s.met.executed.Add(1)
 	}
 	return o
-}
-
-// tryHotServe attempts the admission-time result fast path for a flight
-// leader: System.TryServeStored probes for a fresh whole-query match and,
-// when it proves one, this callback seals the flight and reads rows while
-// the matched entries are still pinned — a concurrently evicted entry fails
-// its pin or freshness check inside the probe and lands on the normal
-// scheduler path instead, never serving deleted bytes. ok=false means no
-// serve happened and the caller must run the query normally.
-func (s *Server) tryHotServe(p *restore.Prepared, tr *obs.Trace, fl *flightHandle) (flightOutcome, bool) {
-	var fo flightOutcome
-	res, ok := s.sys.TryServeStored(p, tr, func(r *restore.Result) error {
-		// Sealing here (inside the pin window) fixes the set of joiners:
-		// anyone who asked for rows is visible now, and the stored files
-		// their rows alias cannot be evicted until the pins release.
-		if !fl.seal() {
-			return nil
-		}
-		tRows := time.Now()
-		rows, err := readRows(s.sys, r)
-		if err != nil {
-			return err
-		}
-		s.obsReg.ObserveStage(obs.StageRows, tr.ObserveSince(obs.StageRows, tRows))
-		fo.rows = rows
-		return nil
-	})
-	if !ok {
-		return flightOutcome{}, false
-	}
-	fo.res = res
-	s.met.hot.Add(1)
-	return fo, true
 }
 
 // readRows reads every output of res as sorted TSV lines.
@@ -829,17 +712,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Dataset writes mutate the DFS (bumping versions Rule 4 watches), so
 	// they serialize with queries touching the path — and only those:
-	// the write access set covers just the uploaded path, so uploads ride
+	// LoadTSV's write lease covers just the uploaded path, so uploads ride
 	// alongside disjoint query execution.
-	ch := make(chan error, 1)
-	if err := s.sched.submit(restore.AccessSet{Writes: []string{req.Path}}, func() {
-		ch <- s.sys.LoadTSV(req.Path, req.Schema, req.Lines, parts)
+	var loadErr error
+	if err := s.sched.run(func() {
+		loadErr = s.sys.LoadTSV(req.Path, req.Schema, req.Lines, parts)
 	}); err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := <-ch; err != nil {
-		writeError(w, err)
+	if loadErr != nil {
+		writeError(w, loadErr)
 		return
 	}
 	s.met.uploads.Add(1)

@@ -31,7 +31,7 @@ func benchmarkShardSubmit(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 	}
-	srv, err := New(Config{System: sys, Workers: clients, BarrierWindow: 16})
+	srv, err := New(Config{System: sys, Workers: clients})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,17 +21,13 @@ import (
 // plans writing the same outputs).
 
 // flightOutcome is what a flight produces: the execution result, plus each
-// output's rows when the leader read them (inside the execution slot or the
-// fast path's pin window, where no concurrent eviction can delete an
-// aliased file underneath).
+// output's rows when any member asked for them — read by the leader inside
+// the execution's lease and pins or the fast path's pin window, where no
+// conflicting writer or concurrent eviction can touch the files.
 type flightOutcome struct {
 	res  *restore.Result
 	rows map[string][]string
 	err  error
-	// rowsFailed marks an err that arose reading rows *after* a successful
-	// execution (a reused stored file evicted in between) — worth one
-	// resubmission, unlike an execution failure.
-	rowsFailed bool
 }
 
 type flightCall struct {
@@ -62,12 +58,11 @@ func (h *flightHandle) wantRows() bool { return h.c.wantRows.Load() }
 
 // seal closes the flight to new joiners — the key is removed from the
 // group, so later identical submissions start a fresh flight — and returns
-// the now-final wantRows. The leader calls it from inside its execution
-// slot (or the fast path's pin window) before reading rows: every joiner
-// that will ever share this outcome is accounted for at that point, which
-// is what makes the in-slot rows read cover them deterministically instead
-// of racing a post-flight fallback read against eviction. Idempotent; do
-// calls it as a backstop after the flight function returns.
+// the now-final wantRows. The leader calls it from inside its execution's
+// lease (or the fast path's pin window) before reading rows: every joiner
+// that will ever share this outcome is accounted for at that point, so the
+// one protected rows read covers them all. Idempotent; do calls it as a
+// backstop after the flight function returns.
 func (h *flightHandle) seal() bool {
 	h.g.mu.Lock()
 	if !h.c.sealed {
@@ -88,7 +83,7 @@ type flightGroup struct {
 // caller of the same key the leader's outcome. shared reports whether this
 // caller joined an existing flight. wantRows records this caller's interest
 // in output rows on the flight; fn receives a handle to check it and to
-// seal the flight from inside the execution slot. Once a flight is sealed
+// seal the flight from inside the execution's lease. Once a flight is sealed
 // (at the latest when fn returns) its key is released, so later submissions
 // execute again (and hit the repository's stored outputs instead).
 func (g *flightGroup) do(key string, wantRows bool, fn func(h *flightHandle) flightOutcome) (out flightOutcome, shared bool) {

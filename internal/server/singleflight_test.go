@@ -292,58 +292,3 @@ func TestFlightGroupJoinerStress(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestSchedulerSerializesAndDrains pins the degraded mode: with one worker
-// and a barrier window of one, the conflict-aware scheduler behaves exactly
-// like the old single-worker FIFO, even for mutually disjoint tasks.
-func TestSchedulerSerializesAndDrains(t *testing.T) {
-	s := newScheduler(16, 1, 1)
-	var active, maxActive, n int64
-	var mu sync.Mutex
-	for i := 0; i < 10; i++ {
-		err := s.submit(restore.AccessSet{}, func() {
-			mu.Lock()
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			n++
-			active--
-			mu.Unlock()
-		})
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	}
-	s.close()
-	if maxActive != 1 {
-		t.Errorf("max concurrent tasks = %d, want 1", maxActive)
-	}
-	if n != 10 {
-		t.Errorf("ran %d tasks before close returned, want 10", n)
-	}
-	if err := s.submit(restore.AccessSet{}, func() {}); err != errShuttingDown {
-		t.Errorf("submit after close = %v, want errShuttingDown", err)
-	}
-}
-
-func TestSchedulerQueueFull(t *testing.T) {
-	s := newScheduler(1, 1, 1)
-	defer s.close()
-	block := make(chan struct{})
-	defer close(block)
-	if err := s.submit(restore.AccessSet{}, func() { <-block }); err != nil {
-		t.Fatal(err)
-	}
-	// The single slot is occupied by the blocked task; the next submit must
-	// be rejected.
-	var err error
-	for i := 0; i < 3; i++ {
-		if err = s.submit(restore.AccessSet{}, func() {}); err != nil {
-			break
-		}
-	}
-	if err != errQueueFull {
-		t.Fatalf("expected errQueueFull, got %v", err)
-	}
-}

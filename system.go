@@ -161,11 +161,6 @@ type System struct {
 // Option configures a System.
 type Option func(*System)
 
-// WithClusterConfig replaces the default 15-node cluster model.
-func WithClusterConfig(c *cluster.Config) Option {
-	return func(s *System) { s.cluster = c }
-}
-
 // WithHeuristic selects the sub-job enumeration heuristic (default
 // Aggressive, as in the paper's experiments).
 func WithHeuristic(h Heuristic) Option {
@@ -488,8 +483,8 @@ func normalizeTmpPath(p, tmpBase string) string {
 // restore/tmp/qN compile namespace. Paths the execution mints at run time
 // (restore/sub/sN injection outputs) are globally unique across concurrent
 // executions and need no declaration; stored outputs a rewrite reuses are
-// protected by repository pinning rather than declaration. The daemon's
-// scheduler and the System's internal lease table both key on this set.
+// protected by repository pinning rather than declaration. The System's
+// lease table admits the execution on exactly this set.
 func (p *Prepared) Access() AccessSet { return p.access }
 
 // Prepare parses, plans, and compiles one query without executing it or
@@ -640,16 +635,20 @@ func (s *System) Execute(src string) (*Result, error) {
 // are admitted FIFO. Stored outputs the rewrite reuses are pinned until the
 // execution finishes, so no concurrent eviction can delete them mid-run.
 func (s *System) ExecutePrepared(p *Prepared) (*Result, error) {
-	return s.ExecutePreparedTraced(p, nil)
+	return s.ExecutePreparedTraced(p, nil, nil)
 }
 
-// ExecutePreparedTraced is ExecutePrepared with per-phase telemetry: each
-// phase's duration is recorded as a span on tr and as a sample in the
-// installed observer's stage histograms. A nil tr records registry samples
-// only; a nil observer records trace spans only; both nil is exactly
-// ExecutePrepared. Phases that error out leave no span — the failure
-// surfaces through the error, not the trace.
-func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, error) {
+// ExecutePreparedTraced is ExecutePrepared with per-phase telemetry and the
+// read contract of TryServeStored. Each phase's duration is recorded as a
+// span on tr and as a sample in the installed observer's stage histograms
+// (a nil tr records registry samples only; a nil observer trace spans only).
+// Phases that error out leave no span — the failure surfaces through the
+// error, not the trace. A non-nil read is invoked with the finished Result
+// while the execution's lease and pins are still held: no conflicting
+// writer is in flight and no eviction can delete a stored file the outputs
+// alias, so whatever read loads is exactly what this query produced. An
+// error from read fails the call.
+func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace, read func(*Result) error) (*Result, error) {
 	t := time.Now()
 	lease := s.leases.acquire(p.access)
 	defer s.leases.release(lease)
@@ -658,8 +657,10 @@ func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, err
 	s.obs.ObserveStage(obs.StageLease, tr.ObserveSince(obs.StageLease, t))
 
 	seq := s.seq.Add(1)
-	requested := p.requested
 	workflow := p.workflow
+	// Swapping the repository takes a universal lease, so the one loaded
+	// under this lease stays the live one until release.
+	repo := s.repo.Load()
 
 	// Phase 0 (§5): evict stale or invalidated entries before matching.
 	// Index-driven: Rule-4 checks touch only entries reading a path the DFS
@@ -675,16 +676,16 @@ func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, err
 	s.obs.ObserveStage(obs.StageEvict, tr.ObserveSince(obs.StageEvict, t))
 
 	// Phase 1 (§3): match and rewrite against the repository. The rewriter
-	// pins every reused entry; hold the pins until this execution is done
-	// (rows in res.Outputs may alias pinned stored files) so a concurrent
-	// disjoint execution's eviction cannot delete them underneath us.
+	// pins every reused entry; the pins are held until this call returns —
+	// through the engine run, which loads the reused files, and through
+	// read, whose outputs may alias them — so a concurrent disjoint
+	// execution's eviction cannot delete them underneath us.
 	aliases := make(map[string]string)
 	var rewrites []core.RewriteInfo
 	var matchStats core.MatchStats
 	jobs := workflow.Jobs
 	t = time.Now()
 	if s.reuse {
-		repo := s.repo.Load()
 		rw := &core.Rewriter{Repo: repo, Seq: seq, Guard: func(e *core.Entry) bool {
 			// Pin-time freshness: with eviction demoted to the mutation feed
 			// and the GC loop, this check (not a pre-match sweep) is what
@@ -785,36 +786,57 @@ func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, err
 	}
 	res.Evicted = evicted
 
-	for _, p := range requested {
-		actual := p
-		if a, ok := aliases[p]; ok {
+	for _, out := range p.requested {
+		actual := out
+		if a, ok := aliases[out]; ok {
 			actual = a
 		}
-		res.Outputs[p] = actual
-		// Track user-named outputs for the §5 keep-results-for-N retention
-		// mode: remember the sequence that last produced (or, via an alias,
-		// re-requested) the path, and its file version, so retention never
-		// retires a file a client recently asked for — and never one an
-		// upload has since overwritten. Only under a retention policy:
-		// with retention off nothing would ever consume or prune the
-		// table, and it (plus its WAL records) would grow forever.
-		if s.selector.Policy.OutputRetention > 0 && !isSystemPath(p) {
-			if v, verr := s.fs.Version(p); verr == nil {
-				s.repo.Load().NoteOutput(p, seq, v)
-			}
-		}
+		res.Outputs[out] = actual
 	}
-
-	qs := core.QueryStats{
-		JobsCompiled:  len(workflow.Jobs),
+	s.commitQuery(repo, p, res, core.QueryStats{
 		JobsExecuted:  len(finalJobs),
 		Registered:    res.Registered,
 		Rejected:      rejected,
 		Evict:         est,
 		SimulatedTime: res.SimulatedTime,
 		Match:         matchStats,
+	})
+	s.obs.ObserveStage(obs.StageStore, tr.ObserveSince(obs.StageStore, t))
+	if read != nil {
+		if err := read(res); err != nil {
+			return nil, err
+		}
 	}
-	for _, ri := range rewrites {
+	return res, nil
+}
+
+// commitQuery is the shared tail of an executed query and one served from
+// stored results: retention notes, then the lifetime statistics.
+//
+// Every user-named requested output is noted for the §5 keep-results-for-N
+// retention mode: the sequence that last produced (or, via an alias,
+// re-requested) the path, and its file version, so retention never retires
+// a file a client recently asked for — and never one an upload has since
+// overwritten. Only under a retention policy: with retention off nothing
+// would ever consume or prune the table, and it (plus its WAL records)
+// would grow forever.
+//
+// qs arrives with what only the caller knows (eviction and match work, and
+// for an execution the engine's counts); the compiled-job count and the
+// rewrites' reuse counts and estimated savings are filled in here.
+func (s *System) commitQuery(repo *core.Repository, p *Prepared, res *Result, qs core.QueryStats) {
+	if s.selector.Policy.OutputRetention > 0 {
+		for _, out := range p.requested {
+			if isSystemPath(out) {
+				continue
+			}
+			if v, err := s.fs.Version(out); err == nil {
+				repo.NoteOutput(out, res.Seq, v)
+			}
+		}
+	}
+	qs.JobsCompiled = len(p.workflow.Jobs)
+	for _, ri := range res.Rewrites {
 		if ri.WholeJob {
 			qs.WholeJobReuses++
 		} else {
@@ -823,7 +845,7 @@ func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, err
 		// Estimate savings from the reused entry's recorded statistics: its
 		// input no longer needs scanning (beyond reading the smaller stored
 		// output) and its recorded execution time is not re-spent.
-		if e := s.repo.Load().Get(ri.EntryID); e != nil {
+		if e := repo.Get(ri.EntryID); e != nil {
 			if d := e.InputBytes - e.OutputBytes; d > 0 {
 				qs.SavedBytes += d
 			}
@@ -831,8 +853,6 @@ func (s *System) ExecutePreparedTraced(p *Prepared, tr *obs.Trace) (*Result, err
 		}
 	}
 	s.stats.RecordQuery(qs)
-	s.obs.ObserveStage(obs.StageStore, tr.ObserveSince(obs.StageStore, t))
-	return res, nil
 }
 
 // TryServeStored is the admission-time result fast path: it probes whether
@@ -953,35 +973,7 @@ func (s *System) TryServeStored(p *Prepared, tr *obs.Trace, read func(*Result) e
 		repo.MarkUsed(id, res.Seq)
 	}
 	repo.Unpin(fsv.Pinned)
-	if s.selector.Policy.OutputRetention > 0 {
-		for _, out := range p.requested {
-			if isSystemPath(out) {
-				continue
-			}
-			if v, verr := s.fs.Version(out); verr == nil {
-				repo.NoteOutput(out, res.Seq, v)
-			}
-		}
-	}
-	qs := core.QueryStats{
-		JobsCompiled: len(p.workflow.Jobs),
-		Evict:        est,
-		Match:        fsv.Match,
-	}
-	for _, ri := range fsv.Rewrites {
-		if ri.WholeJob {
-			qs.WholeJobReuses++
-		} else {
-			qs.SubJobReuses++
-		}
-		if e := repo.Get(ri.EntryID); e != nil {
-			if d := e.InputBytes - e.OutputBytes; d > 0 {
-				qs.SavedBytes += d
-			}
-			qs.SavedTime += e.ExecTime
-		}
-	}
-	s.stats.RecordQuery(qs)
+	s.commitQuery(repo, p, res, core.QueryStats{Evict: est, Match: fsv.Match})
 	s.stats.RecordFastPath(true)
 	return res, true
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/types"
 )
 
@@ -322,5 +323,79 @@ func TestSequentialQueriesShareRepositoryGrowth(t *testing.T) {
 	}
 	if s.Repository().Len() != n2 {
 		t.Errorf("duplicate plans entered repository: %d -> %d", n2, s.Repository().Len())
+	}
+}
+
+// TestExecuteReadRunsInsideLeaseAndPins pins the read contract
+// ExecutePreparedTraced shares with TryServeStored: read sees the finished
+// Result while the execution's lease is still held and every reused entry
+// is still pinned, so an output aliasing a repository-owned file cannot be
+// evicted underneath it; both are released once the call returns, and an
+// error from read fails the call.
+func TestExecuteReadRunsInsideLeaseAndPins(t *testing.T) {
+	sys := New()
+	seedPaperData(t, sys, 400)
+	const aggregate = `A = load 'page_views' as (user, timestamp, est_revenue:double, page_info, page_links);
+B = group A by user;
+C = foreach B generate group as user, SUM(A.est_revenue) as total;
+`
+	// The long query materializes C as a repository-owned sub-job file.
+	if _, err := sys.Execute(aggregate + `D = filter C by total > 1.0;
+store D into 'out/long';`); err != nil {
+		t.Fatal(err)
+	}
+	// The short query is exactly that sub-job, so its output aliases the
+	// stored file; the second pipeline keeps it a leased execution.
+	p, err := sys.Prepare(aggregate + `store C into 'out/short';
+X = load 'users' as (name, phone, address, city);
+Y = foreach X generate name;
+store Y into 'out/side';`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := sys.Repository()
+	var aliased *core.RewriteInfo
+	var rows []string
+	res, err := sys.ExecutePreparedTraced(p, nil, func(r *Result) error {
+		for i, ri := range r.Rewrites {
+			if ri.WholeJob && r.Outputs["out/short"] == ri.OutputPath {
+				aliased = &r.Rewrites[i]
+			}
+		}
+		if aliased == nil {
+			t.Fatalf("out/short does not alias a stored file: outputs %v, rewrites %+v", r.Outputs, r.Rewrites)
+		}
+		if n := sys.leases.inflightCount(); n == 0 {
+			t.Error("read ran after the execution's lease was released")
+		}
+		if e := repo.Get(aliased.EntryID); repo.RemoveIfIdle(e.ID, e.LastUsedSeq) != nil {
+			t.Error("the entry behind an aliased output was evictable during read: its pin was already released")
+		}
+		var rerr error
+		rows, rerr = sys.ReadOutputTSV(r, "out/short")
+		return rerr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || res.Outputs["out/short"] != aliased.OutputPath {
+		t.Fatalf("read %d rows from %q", len(rows), res.Outputs["out/short"])
+	}
+	if n := sys.leases.inflightCount(); n != 0 {
+		t.Errorf("%d leases still held after the call returned", n)
+	}
+	if e := repo.Get(aliased.EntryID); repo.RemoveIfIdle(e.ID, e.LastUsedSeq) == nil {
+		t.Error("the entry is still pinned after the call returned")
+	}
+
+	p2, err := sys.Prepare(`A = load 'users' as (name, phone, address, city);
+B = foreach A generate city;
+store B into 'out/cities';`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := fmt.Errorf("rows unavailable")
+	if res, err := sys.ExecutePreparedTraced(p2, nil, func(*Result) error { return boom }); err != boom || res != nil {
+		t.Errorf("a failing read returned (%v, %v), want (nil, %v)", res, err, boom)
 	}
 }
