@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/shardkey"
 )
 
 func TestPathsConflict(t *testing.T) {
@@ -91,6 +93,45 @@ func TestLeaseTableDisjointConcurrency(t *testing.T) {
 	if lt.inflightCount() != 0 {
 		t.Fatalf("leases left in flight: %d", lt.inflightCount())
 	}
+}
+
+// TestShardedLeasesTablesAreIndependent is the same claim for the sharded
+// domain, without a clock: while the test holds one table's mutex, an acquire
+// routed to another table is granted, and one routed to the held table is not
+// until the mutex is released.
+func TestShardedLeasesTablesAreIndependent(t *testing.T) {
+	const n = 4
+	sl := newShardedLeases(n)
+	heldTable := shardkey.Index("held/out", n)
+	free := ""
+	for i := 0; free == ""; i++ {
+		if p := fmt.Sprintf("free%d/out", i); shardkey.Index(p, n) != heldTable {
+			free = p
+		}
+	}
+	acquire := func(path string) <-chan *heldLease {
+		got := make(chan *heldLease, 1)
+		go func() { got <- sl.acquire(AccessSet{Writes: []string{path}}) }()
+		return got
+	}
+	mu := &sl.tables[heldTable].mu
+	mu.Lock()
+	heldGot := acquire("held/out")
+	select {
+	case h := <-acquire(free):
+		sl.release(h)
+	case <-time.After(10 * time.Second):
+		mu.Unlock()
+		t.Fatal("an acquire routed to another table waited on the held table's mutex")
+	}
+	select {
+	case <-heldGot:
+		mu.Unlock()
+		t.Fatal("an acquire routed to the held table was granted under its mutex")
+	default:
+	}
+	mu.Unlock()
+	sl.release(<-heldGot)
 }
 
 // TestLeaseTableExtendReads covers the mid-run read extension the rewriter

@@ -1,17 +1,17 @@
 // Command restore-bench regenerates the tables and figures of the ReStore
-// paper's evaluation (§7) on the simulated cluster.
+// paper's evaluation (§7) and the two ablations on the simulated cluster's
+// cost model. Every number it prints is simulated time or a byte count; how
+// fast the code itself runs is measured by `bash benchmark/run.sh`.
 //
 // Usage:
 //
 //	restore-bench              # run every experiment
-//	restore-bench -exp fig10   # run one experiment
+//	restore-bench -exp fig10   # run one experiment (comma-separate several)
 //	restore-bench -list        # list experiment IDs
 //	restore-bench -tiny        # use the fast test-sized configuration
-//	restore-bench -exp server,server-ckpt -json BENCH_server.json   # record a baseline
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,10 +23,9 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("exp", "", "experiment ID(s) to run, comma-separated (default: all)")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		tiny     = flag.Bool("tiny", false, "use the tiny test configuration")
-		jsonPath = flag.String("json", "", "also write the result tables as JSON to this file")
+		expID = flag.String("exp", "", "experiment ID(s) to run, comma-separated (default: all)")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
+		tiny  = flag.Bool("tiny", false, "use the tiny test configuration")
 	)
 	flag.Parse()
 
@@ -42,7 +41,6 @@ func main() {
 		cfg = bench.TinyConfig()
 	}
 
-	var tables []*bench.Table
 	run := func(e bench.Experiment) {
 		start := time.Now()
 		table, err := e.Run(cfg)
@@ -50,7 +48,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "restore-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		tables = append(tables, table)
 		fmt.Println(table.String())
 		fmt.Printf("  (experiment wall time: %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -70,16 +67,4 @@ func main() {
 		}
 	}
 
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restore-bench: json:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "restore-bench: json:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 }

@@ -11,7 +11,6 @@
 //	restore-worker -addr 127.0.0.1:7742              # pick the listen address
 //	restore-worker -worker-addr http://10.0.0.2:7742 # advertised base URL (peers pull shuffle runs from it)
 //	restore-worker -slots 4                          # concurrent task slots (0 = GOMAXPROCS)
-//	restore-worker -task-delay 5ms                   # emulated per-task compute latency (benchmarks)
 //
 // Endpoints: POST /v1/map, POST /v1/reduce, GET /v1/shuffle, POST /v1/release,
 // GET /v1/healthz.
@@ -37,7 +36,6 @@ func main() {
 		addr       = flag.String("addr", ":7741", "listen address")
 		workerAddr = flag.String("worker-addr", "", "advertised base URL peers and the coordinator reach this worker at (default http://<listen addr>)")
 		slots      = flag.Int("slots", 0, "concurrent task execution slots (0 = GOMAXPROCS)")
-		taskDelay  = flag.Duration("task-delay", 0, "emulated per-task compute latency (benchmark knob; 0 = off)")
 	)
 	flag.Parse()
 
@@ -51,9 +49,8 @@ func main() {
 		advertised = "http://" + ln.Addr().String()
 	}
 	w := fleet.NewWorker(fleet.WorkerConfig{
-		Addr:      advertised,
-		Slots:     *slots,
-		TaskDelay: *taskDelay,
+		Addr:  advertised,
+		Slots: *slots,
 	})
 	slog.Info("restore-worker listening", "addr", ln.Addr().String(), "advertised", advertised, "slots", *slots)
 

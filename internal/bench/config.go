@@ -19,19 +19,6 @@ type Config struct {
 	// paper-scale size it represents (40 GB).
 	SynthRows        int
 	SynthTargetBytes int64
-	// MatchRepoSizes are the repository populations the server-match
-	// experiment sweeps (indexed vs naive match-scan cost).
-	MatchRepoSizes []int
-	// ObsPairs is how many back-to-back instrumented-vs-disabled round
-	// pairs the server-obs experiment medians over. The measured cost is
-	// microseconds against milliseconds of scheduling jitter, so the
-	// recorded baseline needs many pairs; tests need few.
-	ObsPairs int
-	// EngineRows sizes the server-engine experiment: shuffle records in the
-	// kernel rows and input rows in the whole-job rows. EngineRounds is how
-	// many measured rounds each row totals over (after one warmup).
-	EngineRows   int
-	EngineRounds int
 }
 
 // DefaultConfig returns the full-size (laptop-scale) configuration.
@@ -41,10 +28,6 @@ func DefaultConfig() Config {
 		Large:            pigmix.Instance150GB(),
 		SynthRows:        40_000,
 		SynthTargetBytes: 40 << 30,
-		MatchRepoSizes:   []int{50, 200, 800},
-		ObsPairs:         12,
-		EngineRows:       60_000,
-		EngineRounds:     3,
 	}
 }
 
@@ -65,10 +48,6 @@ func TinyConfig() Config {
 		Large:            large,
 		SynthRows:        4_000,
 		SynthTargetBytes: 40 << 30,
-		MatchRepoSizes:   []int{20, 60},
-		ObsPairs:         2,
-		EngineRows:       8_000,
-		EngineRounds:     2,
 	}
 }
 

@@ -25,15 +25,6 @@ func Experiments() []Experiment {
 		{"fig17", "Figure 17: QF filter sweep", Fig17FilterSweep},
 		{"ablation-order", "Ablation: repository ordering rules", AblationRepoOrdering},
 		{"ablation-evict", "Ablation: eviction policies", AblationEviction},
-		{"server", "restored server-mode throughput (concurrent clients)", ServerThroughput},
-		{"server-ckpt", "checkpoint cost per interval: WAL vs full snapshot", ServerCheckpointCost},
-		{"server-match", "match-scan cost vs repository size: index vs naive", MatchScaling},
-		{"server-gc", "eviction Rule-4 cost per mutation: index vs naive sweep", GCScaling},
-		{"server-obs", "telemetry overhead: instrumented vs obs.Disabled", ServerObsOverhead},
-		{"server-hot", "zero-compile hot path: repeat-query latency collapse", ServerHotPath},
-		{"server-shard", "sharded execution core: all-disjoint scaling vs shard count", ShardScaling},
-		{"server-engine", "engine data plane: sorted-run merge + parallel reduce vs serial sort", EngineDataPlane},
-		{"server-fleet", "fleet execution backend: wall-clock vs worker count", FleetScaling},
 	}
 }
 

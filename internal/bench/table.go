@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§7) on the simulated cluster, plus the ablations listed in
-// DESIGN.md. Each experiment returns a Table that cmd/restore-bench prints;
-// bench_test.go exposes the same experiments as Go benchmarks.
+// evaluation (§7) on the simulated cluster, plus two ablations. Each
+// experiment returns a Table that cmd/restore-bench prints; the root
+// package's bench_test.go exposes the same experiments as Go benchmarks.
 package bench
 
 import (

@@ -25,7 +25,7 @@ import (
 // Config describes the simulated cluster and its cost parameters. Bandwidth
 // values are per-slot effective throughputs in MB/s; they were calibrated so
 // the no-reuse PigMix queries land in the paper's "minutes on Hadoop" range
-// (see EXPERIMENTS.md).
+// (the no-reuse column of `restore-bench -exp fig9`).
 type Config struct {
 	Workers              int   // worker nodes running tasks
 	MapSlotsPerWorker    int   // concurrent map tasks per worker

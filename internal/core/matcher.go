@@ -29,8 +29,9 @@ import (
 // against that index surfaces a superset of the matchable entries; the
 // traversal then runs only on hash-equal candidates, as collision
 // verification. FindBestMatchNaive retains the exhaustive reference scan —
-// the equivalence property test and the server-match benchmark compare the
-// two paths.
+// the equivalence property test compares the two paths' answers,
+// TestPropertyProbesSublinear their probe counts, and
+// BenchmarkFindBestMatch{Indexed,Naive} their time.
 
 // MatchResult describes a successful containment: Terminal is the input-plan
 // operator equivalent to the repository plan's last operator before its
@@ -203,7 +204,8 @@ func FindBestMatchProbed(input *physical.Plan, repo *Repository, skip map[string
 // FindBestMatchNaive is the retained reference implementation: the
 // exhaustive §3 scan trying every input operator against every entry. The
 // equivalence property test asserts it returns the same entry and mapping
-// as FindBestMatchProbed; the server-match benchmark measures the gap.
+// as FindBestMatchProbed; TestPropertyProbesSublinear pins the gap in
+// probes as the repository grows.
 func FindBestMatchNaive(input *physical.Plan, repo *Repository, skip map[string]bool, st *MatchStats) (*MatchResult, bool) {
 	inIx := physical.IndexPlan(input)
 	candIDs := allOpIDs(input)

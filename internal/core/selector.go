@@ -65,7 +65,8 @@ type SelectorFS interface {
 // path. A scan is one entry examined for staleness; a probe is one DFS
 // version or existence lookup. The per-query indexed path keeps both
 // proportional to the mutated paths; the naive full sweep's grow with the
-// repository (the server-gc benchmark compares them). Delete failures are
+// repository (TestEvictPathsScansOnlyTouchedEntries pins the indexed
+// counts, BenchmarkEvict{Indexed,Naive} time both). Delete failures are
 // counted, not surfaced as query errors.
 type EvictStats struct {
 	Scans        int64 `json:"scans"`

@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/shardkey"
 	"repro/internal/types"
@@ -123,14 +122,6 @@ type FS struct {
 	// map tasks of parallel workflows never serialize on a shard lock.
 	bytesWritten atomic.Int64 // logical bytes written
 	bytesRead    atomic.Int64 // logical bytes read
-
-	// opLatency (ns), when set, is slept inside each mutating operation
-	// while its shard lock is held — emulating the namenode/commit RPC a
-	// real DFS pays per metadata mutation, the way mapred's LatencyScale
-	// emulates cluster job time. Benchmarks use it to make the serialized
-	// hold time of a lock domain visible in wall clock; 0 (the default)
-	// disables it.
-	opLatency atomic.Int64
 }
 
 // New creates an empty single-shard FS with default block size and
@@ -162,22 +153,6 @@ func (fs *FS) ShardOf(path string) int { return shardkey.Index(path, len(fs.shar
 // shardOf returns the shard owning path.
 func (fs *FS) shardOf(path string) *fsShard {
 	return &fs.shards[shardkey.Index(path, len(fs.shards))]
-}
-
-// SetOpLatency emulates the per-mutation metadata RPC of a remote DFS: every
-// mutating operation (Create, CommitPartition, SetSchema, Delete) sleeps d
-// while holding its shard's write lock. Benchmarks use it to reproduce the
-// regime where namespace mutations are wall-clock-bound rather than
-// CPU-bound, so the serialization removed by sharding is measurable on any
-// machine. 0 disables the emulation.
-func (fs *FS) SetOpLatency(d time.Duration) { fs.opLatency.Store(int64(d)) }
-
-// emulateOp pays the configured per-mutation latency. Called with the
-// owning shard's write lock held.
-func (fs *FS) emulateOp() {
-	if d := fs.opLatency.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
 }
 
 // Replication returns the configured replication factor.
@@ -229,7 +204,6 @@ func (fs *FS) Create(path string, partitions int) (uint64, error) {
 	sh := fs.shardOf(path)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fs.emulateOp()
 	v := fs.version.Add(1)
 	sh.files[path] = &File{Path: path, Parts: make([]Partition, partitions), Version: v}
 	fs.noteLocked(sh, Mutation{Op: MutCreate, Path: path, Version: v, Partitions: partitions})
@@ -245,7 +219,6 @@ func (fs *FS) SetSchema(path string, schema types.Schema) error {
 	if !ok {
 		return fmt.Errorf("dfs: %s: %w", path, ErrNotExist)
 	}
-	fs.emulateOp()
 	f.Schema = schema
 	fs.noteLocked(sh, Mutation{Op: MutSchema, Path: path, Schema: schema})
 	return nil
@@ -277,7 +250,6 @@ func (fs *FS) CommitPartition(path string, idx int, data []byte, records int64) 
 	if idx < 0 || idx >= len(f.Parts) {
 		return fmt.Errorf("dfs: commit to %s: partition %d out of range [0,%d)", path, idx, len(f.Parts))
 	}
-	fs.emulateOp()
 	f.Parts[idx] = Partition{Data: data, Records: records}
 	fs.bytesWritten.Add(int64(len(data)))
 	fs.noteLocked(sh, Mutation{Op: MutCommit, Path: path, Part: idx, Data: data, Records: records})
@@ -293,7 +265,6 @@ func (fs *FS) Delete(path string) error {
 	if _, ok := sh.files[path]; !ok {
 		return fmt.Errorf("dfs: delete %s: %w", path, ErrNotExist)
 	}
-	fs.emulateOp()
 	delete(sh.files, path)
 	v := fs.version.Add(1)
 	fs.noteLocked(sh, Mutation{Op: MutDelete, Path: path, Version: v})

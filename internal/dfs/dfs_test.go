@@ -2,9 +2,11 @@ package dfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -234,5 +236,59 @@ func TestSetReplicationClamps(t *testing.T) {
 	fs.SetReplication(3)
 	if fs.Replication() != 3 {
 		t.Errorf("replication = %d", fs.Replication())
+	}
+}
+
+// TestShardLocksAreIndependent pins what sharding the namespace buys, without
+// a clock: while the test holds one shard's write lock, a Create +
+// CommitPartition on a path another shard owns completes, and one on a path
+// the held shard owns does not until the lock is released.
+func TestShardLocksAreIndependent(t *testing.T) {
+	fs := NewSharded(4)
+	const held = "held/f"
+	free := ""
+	for i := 0; free == ""; i++ {
+		if p := fmt.Sprintf("free%d/f", i); fs.ShardOf(p) != fs.ShardOf(held) {
+			free = p
+		}
+	}
+	// write starts the two mutations on path and delivers the version its
+	// Create was assigned (versions are handed out under the shard lock).
+	write := func(path string) <-chan uint64 {
+		started, done := make(chan struct{}), make(chan uint64, 1)
+		go func() {
+			close(started)
+			v, err := fs.Create(path, 1)
+			if err == nil {
+				err = fs.CommitPartition(path, 0, []byte("x"), 1)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			done <- v
+		}()
+		<-started
+		return done
+	}
+
+	sh := fs.shardOf(held)
+	sh.mu.Lock()
+	heldDone := write(held)
+	var freeV uint64
+	select {
+	case freeV = <-write(free):
+	case <-time.After(10 * time.Second):
+		sh.mu.Unlock()
+		t.Fatal("a write to another shard waited on the held shard's lock")
+	}
+	select {
+	case <-heldDone:
+		sh.mu.Unlock()
+		t.Fatal("a write to the held shard completed under its lock")
+	default:
+	}
+	sh.mu.Unlock()
+	if heldV := <-heldDone; heldV <= freeV {
+		t.Errorf("held-shard write got version %d, not after the free shard's %d it was started before", heldV, freeV)
 	}
 }

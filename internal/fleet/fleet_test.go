@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	restore "repro"
@@ -34,12 +35,18 @@ type testFleet struct {
 	addrs   []string
 }
 
-func startFleet(t *testing.T, n int, cfg WorkerConfig) *testFleet {
+// startFleet boots n workers; wrap, when non-nil, is put in front of worker
+// i's handler (request counting).
+func startFleet(t testing.TB, n int, cfg WorkerConfig, wrap func(i int, h http.Handler) http.Handler) *testFleet {
 	t.Helper()
 	tf := &testFleet{}
 	for i := 0; i < n; i++ {
 		w := NewWorker(cfg)
-		srv := httptest.NewServer(w.Handler())
+		h := w.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		srv := httptest.NewServer(h)
 		w.SetAddr(srv.URL)
 		tf.workers = append(tf.workers, w)
 		tf.servers = append(tf.servers, srv)
@@ -165,7 +172,7 @@ func TestFleetDifferentialOracle(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tf := startFleet(t, 2, WorkerConfig{})
+			tf := startFleet(t, 2, WorkerConfig{}, nil)
 			oracle := restore.New()
 			fleetSys, coord := newFleetSystem(t, tf.addrs)
 			seedFleetData(t, oracle, seed)
@@ -217,7 +224,7 @@ func TestFleetDifferentialOracle(t *testing.T) {
 // while staying alive forces a retry that succeeds; the query completes with
 // rows identical to the in-process run.
 func TestFleetWorkerFaultBeforeMap(t *testing.T) {
-	tf := startFleet(t, 2, WorkerConfig{})
+	tf := startFleet(t, 2, WorkerConfig{}, nil)
 	oracle := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
 	seedFleetData(t, oracle, 7)
@@ -237,7 +244,7 @@ func TestFleetWorkerFaultBeforeMap(t *testing.T) {
 // TestFleetWorkerCrashMidMap: a worker dying outright (server closed) during
 // the map phase is declared dead and its tasks re-dispatched to the survivor.
 func TestFleetWorkerCrashMidMap(t *testing.T) {
-	tf := startFleet(t, 2, WorkerConfig{})
+	tf := startFleet(t, 2, WorkerConfig{}, nil)
 	oracle := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
 	seedFleetData(t, oracle, 11)
@@ -264,7 +271,7 @@ func TestFleetWorkerCrashMidMap(t *testing.T) {
 // retained shuffle runs with it; the reduce phase must detect the missing
 // holder, recover the lost map tasks, and still produce identical rows.
 func TestFleetWorkerCrashAfterMap(t *testing.T) {
-	tf := startFleet(t, 2, WorkerConfig{})
+	tf := startFleet(t, 2, WorkerConfig{}, nil)
 	oracle := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
 	seedFleetData(t, oracle, 13)
@@ -294,7 +301,7 @@ func TestFleetWorkerCrashAfterMap(t *testing.T) {
 // the run decoder (record count mismatch), attributed to the holding peer,
 // and retried — never silently folded into the merge.
 func TestFleetTornShufflePull(t *testing.T) {
-	tf := startFleet(t, 2, WorkerConfig{})
+	tf := startFleet(t, 2, WorkerConfig{}, nil)
 	oracle := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
 	seedFleetData(t, oracle, 17)
@@ -318,7 +325,7 @@ func TestFleetTornShufflePull(t *testing.T) {
 // byte-identical response, the retained run set is overwritten in place, and
 // a reduce over the (twice-completed) runs still succeeds.
 func TestFleetDuplicateCompletionIdempotent(t *testing.T) {
-	tf := startFleet(t, 1, WorkerConfig{})
+	tf := startFleet(t, 1, WorkerConfig{}, nil)
 	sys := restore.New()
 	seedFleetData(t, sys, 19)
 
@@ -425,7 +432,7 @@ func TestFleetDuplicateCompletionIdempotent(t *testing.T) {
 // outputs (TasksRecovered) — ReStore's reuse-as-recovery — rather than
 // re-executed from scratch.
 func TestFleetKillWorkerRecoversFromRepository(t *testing.T) {
-	tf := startFleet(t, 3, WorkerConfig{})
+	tf := startFleet(t, 3, WorkerConfig{}, nil)
 	oracle := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
 	seedFleetData(t, oracle, 23)
@@ -477,23 +484,78 @@ func TestFleetKillWorkerRecoversFromRepository(t *testing.T) {
 	}
 }
 
+// TestFleetSpreadsTasksAcrossWorkers pins what adding workers buys, as
+// counts: four concurrent clients stream distinct grouped aggregates through
+// three one-slot workers, every worker is handed map tasks and reduce
+// partitions (counted at its own HTTP handler), and the coordinator
+// dispatches exactly the planned map tasks — none lost, none retried.
+func TestFleetSpreadsTasksAcrossWorkers(t *testing.T) {
+	const workers, clients, queries, parts = 3, 4, 4, 3
+	var maps, reduces [workers]atomic.Int64
+	tf := startFleet(t, workers, WorkerConfig{Slots: 1}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/map":
+				maps[i].Add(1)
+			case "/v1/reduce":
+				reduces[i].Add(1)
+			}
+			h.ServeHTTP(rw, r)
+		})
+	})
+	sys, coord := newFleetSystem(t, tf.addrs)
+	for cl := 0; cl < clients; cl++ {
+		lines := make([]string, 600)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("%d\t%d", (i*13+cl)%40, (i*7+cl)%100)
+		}
+		if err := sys.LoadTSV(fmt.Sprintf("c%d/in", cl), "k:int, v:int", lines, parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Distinct inputs, filter constants and outputs: nothing is
+			// reused, so every query ships its full task set.
+			for q := 0; q < queries; q++ {
+				src := fmt.Sprintf(`A = load 'c%d/in' as (k:int, v:int);
+B = filter A by v > %d;
+C = group B by k;
+D = foreach C generate group, COUNT(B), SUM(B.v);
+store D into 'c%d/out/q%d';`, cl, q*17, cl, q)
+				if _, err := sys.Execute(src); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := coord.Stats()
+	var mapReqs, reduceReqs int64
+	for i := range maps {
+		m, r := maps[i].Load(), reduces[i].Load()
+		if m == 0 || r == 0 {
+			t.Errorf("worker %d served %d map and %d reduce requests, want each >= 1", i, m, r)
+		}
+		mapReqs += m
+		reduceReqs += r
+	}
+	if planned := int64(clients * queries * parts); st.MapTasksDispatched != planned || mapReqs != planned {
+		t.Errorf("map tasks: %d dispatched, %d served, %d planned", st.MapTasksDispatched, mapReqs, planned)
+	}
+	if st.ReduceTasksDispatched != reduceReqs || st.TasksRetried != 0 || st.WorkerFailures != 0 {
+		t.Errorf("reduce requests served = %d, stats = %+v", reduceReqs, st)
+	}
+}
+
 // BenchmarkFleetGroupQuery drives the canonical blocking query through a
 // 2-worker fleet — the bench-fleet-smoke gate.
 func BenchmarkFleetGroupQuery(b *testing.B) {
-	tf := &testFleet{}
-	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{})
-		srv := httptest.NewServer(w.Handler())
-		w.SetAddr(srv.URL)
-		tf.workers = append(tf.workers, w)
-		tf.servers = append(tf.servers, srv)
-		tf.addrs = append(tf.addrs, srv.URL)
-	}
-	defer func() {
-		for _, srv := range tf.servers {
-			srv.Close()
-		}
-	}()
+	tf := startFleet(b, 2, WorkerConfig{}, nil)
 	sys := restore.New()
 	coord := NewCoordinator(sys.Engine(), Config{FS: sys.FS(), Workers: tf.addrs})
 	sys.SetBackend(coord)

@@ -25,10 +25,6 @@ type WorkerConfig struct {
 	// Slots bounds how many tasks execute concurrently on this worker,
 	// emulating a machine with that many cores; 0 selects GOMAXPROCS.
 	Slots int
-	// TaskDelay adds emulated per-task compute latency, the knob the
-	// server-fleet benchmark uses to reproduce the remote-cluster regime
-	// where fleet size, not coordinator CPU, bounds throughput.
-	TaskDelay time.Duration
 	// Client performs peer shuffle pulls; nil selects a default client.
 	Client *http.Client
 }
@@ -114,12 +110,9 @@ func (w *Worker) job(key string, env []byte, reduceParts int, combine bool) (*wo
 	return wj, nil
 }
 
-// acquire takes an execution slot and applies the emulated task latency.
+// acquire takes an execution slot; the returned func gives it back.
 func (w *Worker) acquire() func() {
 	w.sem <- struct{}{}
-	if w.cfg.TaskDelay > 0 {
-		time.Sleep(w.cfg.TaskDelay)
-	}
 	return func() { <-w.sem }
 }
 

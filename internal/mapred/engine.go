@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
@@ -46,20 +45,12 @@ type Engine struct {
 	// partition, stable-sorted from scratch with the closure comparator,
 	// reduce partitions executed sequentially, no buffer pooling. The
 	// differential oracle tests pin the default data plane byte-identical
-	// to it, and the server-engine benchmark uses it as the pre-PR
-	// baseline.
+	// to it, and BenchmarkShuffleKernel/BenchmarkEngineOrderJob measure
+	// the default plane against it.
 	SerialDataPlane bool
 	// DisableCombiner turns off map-side combining of algebraic aggregates
 	// (used by tests to verify the combined and uncombined paths agree).
 	DisableCombiner bool
-	// LatencyScale emulates driving a remote cluster: after each job the
-	// engine sleeps LatencyScale * the job's simulated time, so wall clock
-	// reflects cluster occupancy instead of just local CPU. 0 disables.
-	// In the paper's deployment the daemon is an orchestrator — Hadoop
-	// jobs take minutes on the cluster while the client CPU idles — and
-	// this knob is what lets benchmarks reproduce that regime: a FIFO
-	// scheduler serializes the waits, a concurrent one overlaps them.
-	LatencyScale float64
 	// Runner executes individual tasks. Nil selects the in-process runner
 	// (this process's map/reduce pools against FS). Remote backends
 	// (internal/fleet) install a TaskRunner that ships tasks to worker
@@ -202,9 +193,6 @@ func (e *Engine) RunJob(ctx context.Context, job *Job) (*JobResult, error) {
 		}
 	}
 	res.Times = e.Cluster.Simulate(res.Stats)
-	if e.LatencyScale > 0 {
-		time.Sleep(time.Duration(float64(res.Times.Total) * e.LatencyScale))
-	}
 	return res, nil
 }
 

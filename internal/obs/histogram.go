@@ -4,8 +4,8 @@
 // for the hot path: recording a sample is a couple of atomic adds, tracing
 // a stage is one time.Now plus an append, and the whole layer can be
 // switched off with the Disabled registry (every record call then returns
-// after a single branch), which is what the server-obs benchmark compares
-// against.
+// after a single branch), which is the baseline BenchmarkServerSubmit
+// compares against.
 //
 // The types are deliberately dependency-free (no Prometheus client): the
 // server renders snapshots into Prometheus text exposition itself, so the
@@ -75,10 +75,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(d)].Add(1)
 }
 
-// Snapshot copies the histogram's counters. Concurrent Observes may land
-// between the count and bucket reads, so the invariant is Count <= sum of
-// Buckets rather than exact equality during traffic; a quiesced histogram
-// snapshots exactly.
+// Snapshot copies the histogram's counters. Observe bumps the count before
+// its bucket and Snapshot reads the buckets before the count, so every
+// sample a snapshot sees in a bucket it also sees in Count: during traffic
+// the invariant is sum of Buckets <= Count rather than equality; a quiesced
+// histogram snapshots exactly.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {

@@ -12,8 +12,9 @@ import (
 //
 // Every record method is safe for concurrent use and nil-safe, and the
 // Disabled sentinel turns each into a single-branch no-op — library users
-// who never construct a Registry pay only a nil check, and the server-obs
-// benchmark pins the instrumented-vs-disabled cost.
+// who never construct a Registry pay only a nil check.
+// BenchmarkServerSubmit prices instrumented vs disabled per request;
+// bench.trace_overhead_ratio in benchmark/ is the end-to-end figure.
 type Registry struct {
 	disabled bool
 
@@ -44,7 +45,7 @@ type Registry struct {
 
 // Disabled is the no-op Registry: every record call returns after one
 // branch. Pass it where a *Registry is required to switch telemetry off
-// (the server-obs benchmark's baseline).
+// (BenchmarkServerSubmit's baseline).
 var Disabled = &Registry{disabled: true}
 
 // NewRegistry returns an active registry.

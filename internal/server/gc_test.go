@@ -202,13 +202,12 @@ func TestGCLoopRetiresOutputsAndSurvivesRestart(t *testing.T) {
 	if fresh != 4 {
 		t.Errorf("retention after recovery kept %d fresh outputs, want 4 (%v)", fresh, ds)
 	}
-	m, err := c2.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.GCOutputsRetired == 0 {
-		t.Error("gcOutputsRetired not reported")
-	}
+	// The loop adds to the counter after its pass returns, so the file can
+	// be gone a moment before the metric says so.
+	waitFor(t, "gcOutputsRetired to be reported", func() bool {
+		m, err := c2.Metrics()
+		return err == nil && m.GCOutputsRetired > 0
+	})
 }
 
 // TestRepoBudgetOverHTTP holds the daemon's repository under a byte budget

@@ -52,8 +52,10 @@ func benchmarkHotSubmit(b *testing.B, hot bool) {
 
 // BenchmarkServerHot prices the repeat-query request with the zero-compile
 // hot path on (plan cache + result fast path) vs off (recompile and
-// re-execute every repeat). The representative comparison under emulated
-// cluster latency is the server-hot experiment in restore-bench.
+// re-execute every repeat). That a repeat skips compile, queue, lease and
+// execute is pinned by TestHotPathServesRepeatQuery and
+// TestHotPathTraceAndStages; the end-to-end numbers are the pigmix_hot
+// workload in benchmark/.
 func BenchmarkServerHot(b *testing.B) {
 	b.Run("hot", func(b *testing.B) { benchmarkHotSubmit(b, true) })
 	b.Run("cold", func(b *testing.B) { benchmarkHotSubmit(b, false) })

@@ -47,9 +47,9 @@ func benchmarkSubmit(b *testing.B, reg *obs.Registry) {
 
 // BenchmarkServerSubmit compares the per-request cost of the serving path
 // with telemetry on (histograms, trace, slow ring, rate window) vs
-// obs.Disabled. This is the microscopic companion to the server-obs bench
-// experiment, which measures the same split under the representative
-// cluster-latency workload.
+// obs.Disabled. The end-to-end figure for the same split is
+// bench.trace_overhead_ratio in benchmark/ (traced vs untraced throughput of
+// a whole workload).
 func BenchmarkServerSubmit(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) { benchmarkSubmit(b, nil) })
 	b.Run("disabled", func(b *testing.B) { benchmarkSubmit(b, obs.Disabled) })

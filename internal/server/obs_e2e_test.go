@@ -18,12 +18,18 @@ import (
 // handoff), the gap shows up here before it shows up as an unexplainable
 // latency mystery in production.
 func TestTraceCoversWallClock(t *testing.T) {
-	// Emulated cluster latency makes the query representative: in the
-	// paper's regime execution dominates the request, so the few fixed
-	// microseconds of channel handoffs between stages stay well under the
-	// 5% budget. (A 160µs micro-query would spend ~6% in handoffs alone —
-	// real deployments never look like that.)
-	sys := restore.New(restore.WithJobLatency(2.5e-4))
+	// Each job is lengthened at its map/reduce boundary, inside the execute
+	// span, so the query is representative: in the paper's regime execution
+	// dominates the request, and the few fixed microseconds of channel
+	// handoffs between stages stay well under the 5% budget. (A 160µs
+	// micro-query would spend ~6% in handoffs alone — real deployments
+	// never look like that.)
+	sys := restore.New()
+	sys.Engine().PhaseHook = func(_, phase string) {
+		if phase == "map-done" {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	srv, err := New(Config{System: sys})
 	if err != nil {
 		t.Fatal(err)

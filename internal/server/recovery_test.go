@@ -419,3 +419,61 @@ func TestCompactionSweepsOrphanedTemps(t *testing.T) {
 		t.Error("sweep deleted referenced stored outputs (no rewrites on repeat)")
 	}
 }
+
+// TestCheckpointCostWALFlatSnapshotGrows pins what incremental persistence
+// buys, in bytes: six rounds each add the same mutation volume (one upload,
+// two queries over it) to a durable daemon. The WAL bytes a round appends
+// stay flat (O(mutations in the interval)), while the snapshot a forced
+// compaction writes after it grows with everything stored so far (O(DFS)).
+func TestCheckpointCostWALFlatSnapshotGrows(t *testing.T) {
+	base, stop := startDaemon(t, Config{StateDir: t.TempDir()})
+	defer stop()
+	c := NewClient(base)
+	wal := func() WALStats {
+		t.Helper()
+		m, err := c.Metrics()
+		if err != nil || m.WAL == nil {
+			t.Fatalf("metrics: %+v, %v", m, err)
+		}
+		return *m.WAL
+	}
+	const rounds = 6
+	var walDelta, snapDelta [rounds]int64
+	for r := 0; r < rounds; r++ {
+		before := wal()
+		lines := make([]string, 400)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("%d\t%d", (i*13+r)%50, (i*7+r)%100)
+		}
+		if _, err := c.Upload(fmt.Sprintf("in/ck%d", r), "k:int, v:int", 2, lines); err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 2; q++ {
+			src := fmt.Sprintf(`A = load 'in/ck%d' as (k:int, v:int);
+B = filter A by v > %d;
+C = group B by k;
+D = foreach C generate group, COUNT(B), SUM(B.v);
+store D into 'out/ck%d/q%d';`, r, q*17, r, q)
+			if _, err := c.Submit(src, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appended := wal()
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		walDelta[r] = appended.Bytes - before.Bytes
+		snapDelta[r] = wal().CompactBytes - appended.CompactBytes
+	}
+	if walDelta[0] <= 0 || snapDelta[0] <= 0 {
+		t.Fatalf("round 0 wrote wal=%d snapshot=%d bytes, want both > 0", walDelta[0], snapDelta[0])
+	}
+	for r, d := range walDelta {
+		if 2*d > 3*walDelta[0] {
+			t.Errorf("round %d appended %d WAL bytes, over 1.5x round 0's %d: %v", r, d, walDelta[0], walDelta)
+		}
+	}
+	if snapDelta[rounds-1] < 3*snapDelta[0] {
+		t.Errorf("snapshot bytes did not track total DFS size: %v", snapDelta)
+	}
+}

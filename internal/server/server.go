@@ -105,7 +105,8 @@ type Config struct {
 	// latency histograms and gauges into. nil installs a fresh active
 	// registry — or adopts one already set on the System via
 	// restore.WithObserver; obs.Disabled switches recording off entirely
-	// (the server-obs benchmark pins its cost).
+	// (BenchmarkServerSubmit prices the difference per request,
+	// bench.trace_overhead_ratio in benchmark/ end to end).
 	Obs *obs.Registry
 	// SlowRingSize bounds how many slowest completions GET /v1/debug/slow
 	// retains (default 64).

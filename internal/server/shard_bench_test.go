@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	restore "repro"
 )
@@ -14,11 +13,9 @@ import (
 // benchmarkShardSubmit prices one all-disjoint round against a core built
 // with the given shard count: eight clients, each owning a private
 // top-level namespace (so each maps to its own shard root), submit one
-// distinct store query in parallel per iteration. A small op-latency
-// emulation stands in for the metadata RPC of a remote DFS, held under the
-// owning shard's write lock — the serialization the sharded core removes.
-// The representative scaling curve is the server-shard experiment in
-// restore-bench.
+// distinct store query in parallel per iteration. That disjoint shards do
+// not block one another is pinned by TestShardLocksAreIndependent in
+// internal/dfs; this prices the same round at each shard count.
 func benchmarkShardSubmit(b *testing.B, shards int) {
 	const clients = 8
 	sys := restore.New(restore.WithShards(shards))
@@ -46,8 +43,6 @@ func benchmarkShardSubmit(b *testing.B, shards int) {
 	for cl := range cs {
 		cs[cl] = NewClient(hs.URL)
 	}
-	sys.FS().SetOpLatency(500 * time.Microsecond)
-	defer sys.FS().SetOpLatency(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var wg sync.WaitGroup
@@ -76,9 +71,8 @@ store D into 'c%d/out/b%d';`, cl, i%97, cl, i)
 }
 
 // BenchmarkServerShard prices the all-disjoint round on the single-domain
-// core vs an 8-shard one. The gap is lock-domain scaling: with one shard
-// every client's namespace mutations serialize behind one write lock; with
-// eight they overlap.
+// core vs an 8-shard one. With one shard every client's namespace mutations
+// serialize behind one write lock; with eight they can overlap.
 func BenchmarkServerShard(b *testing.B) {
 	b.Run("shards=1", func(b *testing.B) { benchmarkShardSubmit(b, 1) })
 	b.Run("shards=8", func(b *testing.B) { benchmarkShardSubmit(b, 8) })

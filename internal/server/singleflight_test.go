@@ -113,11 +113,18 @@ func TestFlightGroupDeduplicatesConcurrentCalls(t *testing.T) {
 
 // TestSemanticSingleFlightSharesExecution proves the acceptance shape: two
 // scripts differing only in variable names and whitespace share one flight —
-// one execution, two results. The first submission's execution is slowed by
-// cluster-latency emulation; the second is sent only once the first is
-// observed executing, so it deterministically joins the open flight.
+// one execution, two results. The engine's phase hook holds the first
+// submission's job at its first phase boundary; the second is sent only once
+// the hook has fired, and the job is let go only once the second is seen on
+// the open flight, so it joins deterministically.
 func TestSemanticSingleFlightSharesExecution(t *testing.T) {
-	sys := restore.New(restore.WithJobLatency(5e-3))
+	sys := restore.New()
+	executing, release := make(chan struct{}), make(chan struct{})
+	var hold, letGo sync.Once
+	sys.Engine().PhaseHook = func(string, string) {
+		hold.Do(func() { close(executing); <-release })
+	}
+	unblock := func() { letGo.Do(func() { close(release) }) }
 	lines := make([]string, 200)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("u%d\t%d", i%20, i%50)
@@ -136,6 +143,7 @@ func TestSemanticSingleFlightSharesExecution(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
+	defer unblock() // a failing assertion must not leave A parked in the hook
 	c := NewClient(hs.URL)
 
 	scriptA := "A = load 'in/sf' as (user, n:int);\nB = filter A by n > 5;\nC = group B by user;\nD = foreach C generate group, COUNT(B);\nstore D into 'out/sf';\n"
@@ -147,25 +155,39 @@ func TestSemanticSingleFlightSharesExecution(t *testing.T) {
 		resp *QueryResponse
 		err  error
 	}
-	chA := make(chan outcome, 1)
+	chA, chB := make(chan outcome, 1), make(chan outcome, 1)
 	go func() {
-		resp, err := c.Submit(scriptA, true)
+		resp, err := c.Submit(scriptA, false)
 		chA <- outcome{resp, err}
 	}()
-	// Wait until A's execution occupies a worker (its flight is open for the
-	// whole execution), then submit the semantically identical B.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.sched.executing() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never started executing")
+	// A's job is parked mid-execution (its flight stays open throughout):
+	// submit the semantically identical B. Only B asks for rows, so the
+	// flight's wantRows flipping is B joining it.
+	select {
+	case <-executing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first query never started executing")
+	}
+	go func() {
+		resp, err := c.Submit(scriptB, true)
+		chB <- outcome{resp, err}
+	}()
+	waitFor(t, "second submission to join the open flight", func() bool {
+		srv.flights.mu.Lock()
+		defer srv.flights.mu.Unlock()
+		for _, fc := range srv.flights.flights { // A's is the only one open
+			if fc.wantRows.Load() {
+				return true
+			}
 		}
-		time.Sleep(time.Millisecond)
+		return false
+	})
+	unblock()
+	outA, outB := <-chA, <-chB
+	if outA.err != nil || outB.err != nil {
+		t.Fatalf("submit errors: A=%v B=%v", outA.err, outB.err)
 	}
-	respB, errB := c.Submit(scriptB, true)
-	outA := <-chA
-	if outA.err != nil || errB != nil {
-		t.Fatalf("submit errors: A=%v B=%v", outA.err, errB)
-	}
+	respB := outB.resp
 	if outA.resp.Deduped {
 		t.Error("flight leader reported deduped")
 	}

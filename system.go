@@ -215,16 +215,6 @@ func WithReduceParallelism(n int) Option {
 	return func(s *System) { s.engine.ReduceParallelism = n }
 }
 
-// WithJobLatency emulates a remote cluster: each executed job additionally
-// waits scale * its simulated time in real wall clock. In the paper's
-// deployment the daemon orchestrates minutes-long Hadoop jobs; with this
-// set, benchmarks reproduce that regime — concurrent path-disjoint
-// execution overlaps the cluster waits a FIFO scheduler would serialize.
-// 0 (the default) disables the emulation.
-func WithJobLatency(scale float64) Option {
-	return func(s *System) { s.engine.LatencyScale = scale }
-}
-
 // WithBackend installs the execution backend the System submits compiled
 // workflows to. The default is the System's own in-process engine (which a
 // nil b restores). Backends that need the System's final FS or repository —
