@@ -113,8 +113,9 @@ $(BENCHES:%=bench-%): bench-%:
 $(BENCHES:%=bench-%-smoke): bench-%-smoke:
 	$(GO) test $(BENCH_PKG_$*) -run '^$$' -bench '$(BENCH_RE_$*)' -benchtime 1x
 
-# Fails when an exported identifier in the documented packages
-# (internal/server, internal/dfs, internal/core, root access.go) lacks a doc
-# comment; those comments are the ground truth docs/ARCHITECTURE.md points at.
+# Fails when an exported identifier in the documented packages (see
+# scripts/docs_check.sh) lacks a doc comment — those comments are the ground
+# truth docs/ARCHITECTURE.md points at — or when docs/ or README.md cite
+# code by file:line instead of by symbol.
 docs-check:
 	sh scripts/docs_check.sh

@@ -12,9 +12,15 @@
 // Canonical() renders a deterministic, alias-free signature used by ReStore's
 // plan matcher to decide operator equivalence: two expressions are equivalent
 // iff their canonical strings are equal.
+//
+// Every operator and function is defined once, in the operator table and
+// the function table below. The parser's precedence loop, Canonical, Eval
+// and the MapReduce combiner all read those entries, so they cannot drift
+// apart on what a symbol means.
 package expr
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -52,6 +58,307 @@ type Expr struct {
 	Sym string `json:"sym,omitempty"`
 	// Args are the child expressions.
 	Args []*Expr `json:"args,omitempty"`
+
+	// op and fn are the table entries of an operator or call node, resolved
+	// once when the node is built, bound or decoded.
+	op *Operator
+	fn *Func
+}
+
+// Operator is one entry of the operator table: everything the language
+// knows about a unary or binary operator symbol. A prefix operator applies
+// only where an operand of at least its Prec is expected; elsewhere its
+// spelling is an ordinary identifier.
+type Operator struct {
+	Sym         string // what a node stores, and what JSON and Canonical() spell
+	Spelling    string // Pig Latin source text; keywords match case-insensitively
+	Prec        int    // binding power: a higher Prec binds tighter
+	Prefix      bool   // a unary prefix operator
+	Chains      bool   // left-associative; comparisons do not chain (a < b < c)
+	Commutative bool   // Canonical() orders the operands, so a == b matches b == a
+
+	unary  func(types.Value) types.Value
+	binary func(l, r types.Value) types.Value
+}
+
+// operators is the operator table, loosest-binding first.
+var operators = []*Operator{
+	{Sym: "or", Spelling: "or", Prec: 1, Chains: true, Commutative: true,
+		binary: func(l, r types.Value) types.Value { return types.NewBool(l.Truthy() || r.Truthy()) }},
+	{Sym: "and", Spelling: "and", Prec: 2, Chains: true, Commutative: true,
+		binary: func(l, r types.Value) types.Value { return types.NewBool(l.Truthy() && r.Truthy()) }},
+	{Sym: "not", Spelling: "not", Prec: 3, Prefix: true,
+		unary: func(v types.Value) types.Value { return types.NewBool(!v.Truthy()) }},
+	{Sym: "==", Spelling: "==", Prec: 4, Commutative: true, binary: compare(func(c int) bool { return c == 0 })},
+	{Sym: "!=", Spelling: "!=", Prec: 4, Commutative: true, binary: compare(func(c int) bool { return c != 0 })},
+	{Sym: "<", Spelling: "<", Prec: 4, binary: compare(func(c int) bool { return c < 0 })},
+	{Sym: "<=", Spelling: "<=", Prec: 4, binary: compare(func(c int) bool { return c <= 0 })},
+	{Sym: ">", Spelling: ">", Prec: 4, binary: compare(func(c int) bool { return c > 0 })},
+	{Sym: ">=", Spelling: ">=", Prec: 4, binary: compare(func(c int) bool { return c >= 0 })},
+	{Sym: "+", Spelling: "+", Prec: 5, Chains: true, Commutative: true, binary: arith(false,
+		func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b })},
+	{Sym: "-", Spelling: "-", Prec: 5, Chains: true, binary: arith(false,
+		func(a, b int64) int64 { return a - b }, func(a, b float64) float64 { return a - b })},
+	{Sym: "*", Spelling: "*", Prec: 6, Chains: true, Commutative: true, binary: arith(false,
+		func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b })},
+	{Sym: "/", Spelling: "/", Prec: 6, Chains: true, binary: arith(true,
+		func(a, b int64) int64 { return a / b }, func(a, b float64) float64 { return a / b })},
+	{Sym: "%", Spelling: "%", Prec: 6, Chains: true, binary: arith(true,
+		func(a, b int64) int64 { return a % b }, math.Mod)},
+	{Sym: "neg", Spelling: "-", Prec: 7, Prefix: true, unary: negate},
+}
+
+// unknownOp stands in for a symbol outside the table (only a hand-built or
+// foreign-decoded node carries one); it evaluates to null.
+var unknownOp = &Operator{
+	unary:  func(types.Value) types.Value { return types.Null() },
+	binary: func(_, _ types.Value) types.Value { return types.Null() },
+}
+
+// Prefix returns the prefix operator spelled s, or nil.
+func Prefix(s string) *Operator {
+	return findOp(true, func(op *Operator) bool { return strings.EqualFold(op.Spelling, s) })
+}
+
+// Infix returns the binary operator spelled s, or nil.
+func Infix(s string) *Operator {
+	return findOp(false, func(op *Operator) bool { return strings.EqualFold(op.Spelling, s) })
+}
+
+func findOp(prefix bool, match func(*Operator) bool) *Operator {
+	for _, op := range operators {
+		if op.Prefix == prefix && match(op) {
+			return op
+		}
+	}
+	return nil
+}
+
+// compare lifts a test on types.Compare into a comparison kernel; a null
+// operand yields null.
+func compare(test func(int) bool) func(l, r types.Value) types.Value {
+	return func(l, r types.Value) types.Value {
+		if l.IsNull() || r.IsNull() {
+			return types.Null()
+		}
+		return types.NewBool(test(types.Compare(l, r)))
+	}
+}
+
+// arith builds an arithmetic kernel: int with int stays int, any other pair
+// of numbers (or numeric strings) computes in float64, and a null, a
+// non-number or — when divides is set — a zero divisor yields null.
+func arith(divides bool, ints func(a, b int64) int64, floats func(a, b float64) float64) func(l, r types.Value) types.Value {
+	return func(l, r types.Value) types.Value {
+		if l.Kind() == types.KindInt && r.Kind() == types.KindInt {
+			if divides && r.Int() == 0 {
+				return types.Null()
+			}
+			return types.NewInt(ints(l.Int(), r.Int()))
+		}
+		a, okA := types.CoerceFloat(l)
+		b, okB := types.CoerceFloat(r)
+		if !okA || !okB || (divides && b == 0) {
+			return types.Null()
+		}
+		return types.NewFloat(floats(a, b))
+	}
+}
+
+func negate(v types.Value) types.Value {
+	switch v.Kind() {
+	case types.KindInt:
+		return types.NewInt(-v.Int())
+	case types.KindFloat:
+		return types.NewFloat(-v.Float())
+	}
+	return types.Null()
+}
+
+// Func is one entry of the function table. A function has one kernel: one
+// for a single argument (any other arity yields null), or many.
+type Func struct {
+	Name      string // the upper-case name a call node stores
+	Aggregate bool   // folds a bag to a scalar
+	Fold      *Fold  // the algebraic form of COUNT, SUM, MIN and MAX; nil otherwise
+
+	one  func(types.Value) types.Value
+	many func([]types.Value) types.Value
+}
+
+// Fold is an algebraic aggregate over the first field of each tuple of a
+// bag. Eval folds a whole bag with Step; the MapReduce combiner folds each
+// map task's values per key with Step and combines the partials with Merge,
+// so both paths compute the same value.
+type Fold struct {
+	Zero  types.Value                                // the partial before any value
+	Step  func(acc, v types.Value) types.Value       // folds one value into a partial
+	Merge func(acc, partial types.Value) types.Value // combines two partials
+}
+
+var (
+	countFold = &Fold{Zero: types.NewInt(0), Merge: sum,
+		Step: func(acc, _ types.Value) types.Value { return types.NewInt(acc.Int() + 1) }}
+	sumFold = &Fold{Step: sum, Merge: sum}
+	minFold = &Fold{Step: best(-1), Merge: best(-1)}
+	maxFold = &Fold{Step: best(1), Merge: best(1)}
+)
+
+// funcs is the function table.
+var funcs = []*Func{
+	{Name: "COUNT", Aggregate: true, Fold: countFold, one: onBag(countFold.over)},
+	{Name: "SUM", Aggregate: true, Fold: sumFold, one: onBag(sumFold.over)},
+	{Name: "MIN", Aggregate: true, Fold: minFold, one: onBag(minFold.over)},
+	{Name: "MAX", Aggregate: true, Fold: maxFold, one: onBag(maxFold.over)},
+	{Name: "AVG", Aggregate: true, one: onBag(avg)},
+	{Name: "ISEMPTY", one: onBag(func(b *types.Bag) types.Value { return types.NewBool(b.Len() == 0) })},
+	// DISTINCTCOUNT counts the distinct tuples of a bag (PigMix L4's
+	// nested distinct + count idiom).
+	{Name: "DISTINCTCOUNT", one: onBag(distinctCount)},
+	{Name: "SIZE", one: size},
+	{Name: "CONCAT", many: concat},
+	{Name: "LOWER", one: onString(strings.ToLower)},
+	{Name: "UPPER", one: onString(strings.ToUpper)},
+	{Name: "ROUND", one: round},
+	{Name: "ABS", one: abs},
+}
+
+// unknownFunc stands in for a name outside the table; it evaluates to null.
+var unknownFunc = &Func{one: func(types.Value) types.Value { return types.Null() }}
+
+// over folds a bag: Step over each tuple's first field (null for an empty
+// tuple), starting from Zero.
+func (f *Fold) over(b *types.Bag) types.Value {
+	acc := f.Zero
+	for _, t := range b.Tuples {
+		acc = f.Step(acc, first(t))
+	}
+	return acc
+}
+
+func first(t types.Tuple) types.Value {
+	if len(t) == 0 {
+		return types.Null()
+	}
+	return t[0]
+}
+
+// sum adds v into acc with Pig semantics: nulls and non-numbers are
+// skipped, and an integer sum stays an exact integer until a float joins.
+func sum(acc, v types.Value) types.Value {
+	f, ok := types.CoerceFloat(v)
+	if !ok {
+		return acc
+	}
+	// The null start coerces to 0 either way.
+	if v.Kind() == types.KindInt && acc.Kind() != types.KindFloat {
+		n, _ := types.CoerceInt(acc)
+		return types.NewInt(n + v.Int())
+	}
+	af, _ := types.CoerceFloat(acc)
+	return types.NewFloat(af + f)
+}
+
+// best keeps the smaller (dir < 0) or larger (dir > 0) non-null value.
+func best(dir int) func(acc, v types.Value) types.Value {
+	return func(acc, v types.Value) types.Value {
+		if !v.IsNull() && (acc.IsNull() || types.Compare(v, acc)*dir > 0) {
+			return v
+		}
+		return acc
+	}
+}
+
+// avg is the float64 mean of a bag's numeric first fields.
+func avg(b *types.Bag) types.Value {
+	var total float64
+	var n int
+	for _, t := range b.Tuples {
+		if f, ok := types.CoerceFloat(first(t)); ok {
+			total += f
+			n++
+		}
+	}
+	if n == 0 {
+		return types.Null()
+	}
+	return types.NewFloat(total / float64(n))
+}
+
+func distinctCount(b *types.Bag) types.Value {
+	tuples := make([]types.Tuple, len(b.Tuples))
+	copy(tuples, b.Tuples)
+	sort.Slice(tuples, func(i, j int) bool { return types.CompareTuples(tuples[i], tuples[j]) < 0 })
+	var n int64
+	for i := range tuples {
+		if i == 0 || types.CompareTuples(tuples[i], tuples[i-1]) != 0 {
+			n++
+		}
+	}
+	return types.NewInt(n)
+}
+
+func size(v types.Value) types.Value {
+	switch v.Kind() {
+	case types.KindBag:
+		return types.NewInt(int64(v.Bag().Len()))
+	case types.KindString:
+		return types.NewInt(int64(len(v.Str())))
+	case types.KindTuple:
+		return types.NewInt(int64(len(v.Tuple())))
+	}
+	return types.Null()
+}
+
+func concat(args []types.Value) types.Value {
+	var sb strings.Builder
+	for _, a := range args {
+		if a.IsNull() {
+			return types.Null()
+		}
+		sb.WriteString(a.String())
+	}
+	return types.NewString(sb.String())
+}
+
+func round(v types.Value) types.Value {
+	if f, ok := types.CoerceFloat(v); ok {
+		return types.NewInt(int64(math.Round(f)))
+	}
+	return types.Null()
+}
+
+func abs(v types.Value) types.Value {
+	switch v.Kind() {
+	case types.KindInt:
+		if v.Int() < 0 {
+			return types.NewInt(-v.Int())
+		}
+		return v
+	case types.KindFloat:
+		return types.NewFloat(math.Abs(v.Float()))
+	}
+	return types.Null()
+}
+
+// onBag adapts a kernel over a bag; any other argument yields null.
+func onBag(k func(*types.Bag) types.Value) func(types.Value) types.Value {
+	return func(v types.Value) types.Value {
+		if v.Kind() != types.KindBag {
+			return types.Null()
+		}
+		return k(v.Bag())
+	}
+}
+
+// onString adapts a string mapping; any other argument yields null.
+func onString(k func(string) string) func(types.Value) types.Value {
+	return func(v types.Value) types.Value {
+		if v.Kind() != types.KindString {
+			return types.Null()
+		}
+		return types.NewString(k(v.Str()))
+	}
 }
 
 // Col references a column by name (bound later).
@@ -65,24 +372,56 @@ func Lit(v types.Value) *Expr { return &Expr{Op: OpLit, Lit: v, Index: -1} }
 
 // Binary builds a binary operation.
 func Binary(sym string, l, r *Expr) *Expr {
-	return &Expr{Op: OpBinary, Sym: sym, Args: []*Expr{l, r}, Index: -1}
+	return (&Expr{Op: OpBinary, Sym: sym, Args: []*Expr{l, r}, Index: -1}).resolve()
 }
 
 // Unary builds a unary operation ("not", "neg").
 func Unary(sym string, e *Expr) *Expr {
-	return &Expr{Op: OpUnary, Sym: sym, Args: []*Expr{e}, Index: -1}
+	return (&Expr{Op: OpUnary, Sym: sym, Args: []*Expr{e}, Index: -1}).resolve()
 }
 
 // Call builds a function call. Function names are case-insensitive and
 // canonicalized to upper case.
 func Call(name string, args ...*Expr) *Expr {
-	return &Expr{Op: OpCall, Name: strings.ToUpper(name), Args: args, Index: -1}
+	return (&Expr{Op: OpCall, Name: strings.ToUpper(name), Args: args, Index: -1}).resolve()
 }
 
 // BagProj projects the named field from each tuple of the bag produced by
 // base, yielding a bag of 1-tuples (Pig's C.est_revenue).
 func BagProj(base *Expr, field string) *Expr {
 	return &Expr{Op: OpBagProj, Name: field, Args: []*Expr{base}, Index: -1}
+}
+
+// resolve points an operator or call node at its table entry, so Eval
+// never looks a symbol up per record.
+func (e *Expr) resolve() *Expr {
+	switch e.Op {
+	case OpBinary, OpUnary:
+		e.op = findOp(e.Op == OpUnary, func(op *Operator) bool { return op.Sym == e.Sym })
+		if e.op == nil {
+			e.op = unknownOp
+		}
+	case OpCall:
+		e.fn = unknownFunc
+		for _, f := range funcs {
+			if f.Name == e.Name {
+				e.fn = f
+			}
+		}
+	}
+	return e
+}
+
+// UnmarshalJSON decodes a node and resolves its table entry: plans read
+// back from the repository or off the fleet's wire evaluate like freshly
+// built ones.
+func (e *Expr) UnmarshalJSON(data []byte) error {
+	type plain Expr
+	if err := json.Unmarshal(data, (*plain)(e)); err != nil {
+		return err
+	}
+	e.resolve()
+	return nil
 }
 
 // Clone deep-copies the expression tree.
@@ -98,15 +437,22 @@ func (e *Expr) Clone() *Expr {
 	return &out
 }
 
-// aggregates maps aggregate function names to true. Aggregates take a bag and
-// fold it to a scalar.
-var aggregates = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+// Operator returns the table entry of an operator node, nil for any other
+// node.
+func (e *Expr) Operator() *Operator { return e.op }
+
+// Fold returns the algebraic form of an aggregate call, nil for any other
+// node.
+func (e *Expr) Fold() *Fold {
+	if e.fn == nil {
+		return nil
+	}
+	return e.fn.Fold
 }
 
 // IsAggregateCall reports whether e is a call to an aggregate function.
 func (e *Expr) IsAggregateCall() bool {
-	return e.Op == OpCall && aggregates[e.Name]
+	return e.Op == OpCall && e.fn.Aggregate
 }
 
 // Bind resolves column names against the schema, returning a new bound tree.
@@ -156,6 +502,7 @@ func (e *Expr) bind(schema types.Schema) error {
 		e.Index = ix
 		return nil
 	default:
+		e.resolve()
 		for _, a := range e.Args {
 			if err := a.bind(schema); err != nil {
 				return err
@@ -193,10 +540,8 @@ func (e *Expr) canonical(sb *strings.Builder) {
 	case OpLit:
 		fmt.Fprintf(sb, "lit:%s:%s", e.Lit.Kind(), e.Lit.String())
 	case OpBinary:
-		// Commutative operators canonicalize argument order so that
-		// "a == b" matches "b == a" in the repository.
 		l, r := e.Args[0].Canonical(), e.Args[1].Canonical()
-		if isCommutative(e.Sym) && r < l {
+		if e.op.Commutative && r < l {
 			l, r = r, l
 		}
 		fmt.Fprintf(sb, "(%s %s %s)", l, e.Sym, r)
@@ -221,14 +566,6 @@ func (e *Expr) canonical(sb *strings.Builder) {
 	}
 }
 
-func isCommutative(sym string) bool {
-	switch sym {
-	case "+", "*", "==", "!=", "and", "or":
-		return true
-	}
-	return false
-}
-
 // Eval evaluates the bound expression against a tuple. Type mismatches and
 // nulls propagate as null; boolean context treats null as false.
 func (e *Expr) Eval(t types.Tuple) types.Value {
@@ -241,15 +578,21 @@ func (e *Expr) Eval(t types.Tuple) types.Value {
 	case OpLit:
 		return e.Lit
 	case OpBinary:
-		return evalBinary(e.Sym, e.Args[0].Eval(t), e.Args[1].Eval(t))
+		return e.op.binary(e.Args[0].Eval(t), e.Args[1].Eval(t))
 	case OpUnary:
-		return evalUnary(e.Sym, e.Args[0].Eval(t))
+		return e.op.unary(e.Args[0].Eval(t))
 	case OpCall:
+		if e.fn.many == nil {
+			if len(e.Args) != 1 {
+				return types.Null()
+			}
+			return e.fn.one(e.Args[0].Eval(t))
+		}
 		args := make([]types.Value, len(e.Args))
 		for i, a := range e.Args {
 			args[i] = a.Eval(t)
 		}
-		return evalCall(e.Name, args)
+		return e.fn.many(args)
 	case OpBagProj:
 		base := e.Args[0].Eval(t)
 		if base.Kind() != types.KindBag {
@@ -264,251 +607,6 @@ func (e *Expr) Eval(t types.Tuple) types.Value {
 		return types.NewBag(out)
 	default:
 		return types.Null()
-	}
-}
-
-func evalBinary(sym string, l, r types.Value) types.Value {
-	switch sym {
-	case "and":
-		return types.NewBool(l.Truthy() && r.Truthy())
-	case "or":
-		return types.NewBool(l.Truthy() || r.Truthy())
-	}
-	if l.IsNull() || r.IsNull() {
-		return types.Null()
-	}
-	switch sym {
-	case "==":
-		return types.NewBool(types.Compare(l, r) == 0)
-	case "!=":
-		return types.NewBool(types.Compare(l, r) != 0)
-	case "<":
-		return types.NewBool(types.Compare(l, r) < 0)
-	case "<=":
-		return types.NewBool(types.Compare(l, r) <= 0)
-	case ">":
-		return types.NewBool(types.Compare(l, r) > 0)
-	case ">=":
-		return types.NewBool(types.Compare(l, r) >= 0)
-	case "+", "-", "*", "/", "%":
-		return evalArith(sym, l, r)
-	default:
-		return types.Null()
-	}
-}
-
-func evalArith(sym string, l, r types.Value) types.Value {
-	if l.Kind() == types.KindInt && r.Kind() == types.KindInt {
-		a, b := l.Int(), r.Int()
-		switch sym {
-		case "+":
-			return types.NewInt(a + b)
-		case "-":
-			return types.NewInt(a - b)
-		case "*":
-			return types.NewInt(a * b)
-		case "/":
-			if b == 0 {
-				return types.Null()
-			}
-			return types.NewInt(a / b)
-		case "%":
-			if b == 0 {
-				return types.Null()
-			}
-			return types.NewInt(a % b)
-		}
-	}
-	a, okA := types.CoerceFloat(l)
-	b, okB := types.CoerceFloat(r)
-	if !okA || !okB {
-		return types.Null()
-	}
-	switch sym {
-	case "+":
-		return types.NewFloat(a + b)
-	case "-":
-		return types.NewFloat(a - b)
-	case "*":
-		return types.NewFloat(a * b)
-	case "/":
-		if b == 0 {
-			return types.Null()
-		}
-		return types.NewFloat(a / b)
-	case "%":
-		if b == 0 {
-			return types.Null()
-		}
-		return types.NewFloat(math.Mod(a, b))
-	}
-	return types.Null()
-}
-
-func evalUnary(sym string, v types.Value) types.Value {
-	switch sym {
-	case "not":
-		return types.NewBool(!v.Truthy())
-	case "neg":
-		switch v.Kind() {
-		case types.KindInt:
-			return types.NewInt(-v.Int())
-		case types.KindFloat:
-			return types.NewFloat(-v.Float())
-		}
-		return types.Null()
-	default:
-		return types.Null()
-	}
-}
-
-func evalCall(name string, args []types.Value) types.Value {
-	switch name {
-	case "COUNT":
-		if len(args) != 1 || args[0].Kind() != types.KindBag {
-			return types.Null()
-		}
-		return types.NewInt(int64(args[0].Bag().Len()))
-	case "SUM", "AVG", "MIN", "MAX":
-		if len(args) != 1 || args[0].Kind() != types.KindBag {
-			return types.Null()
-		}
-		return foldBag(name, args[0].Bag())
-	case "ISEMPTY":
-		if len(args) != 1 || args[0].Kind() != types.KindBag {
-			return types.Null()
-		}
-		return types.NewBool(args[0].Bag().Len() == 0)
-	case "SIZE":
-		if len(args) != 1 {
-			return types.Null()
-		}
-		switch args[0].Kind() {
-		case types.KindBag:
-			return types.NewInt(int64(args[0].Bag().Len()))
-		case types.KindString:
-			return types.NewInt(int64(len(args[0].Str())))
-		case types.KindTuple:
-			return types.NewInt(int64(len(args[0].Tuple())))
-		}
-		return types.Null()
-	case "CONCAT":
-		var sb strings.Builder
-		for _, a := range args {
-			if a.IsNull() {
-				return types.Null()
-			}
-			sb.WriteString(a.String())
-		}
-		return types.NewString(sb.String())
-	case "LOWER":
-		if len(args) != 1 || args[0].Kind() != types.KindString {
-			return types.Null()
-		}
-		return types.NewString(strings.ToLower(args[0].Str()))
-	case "UPPER":
-		if len(args) != 1 || args[0].Kind() != types.KindString {
-			return types.Null()
-		}
-		return types.NewString(strings.ToUpper(args[0].Str()))
-	case "ROUND":
-		if len(args) != 1 {
-			return types.Null()
-		}
-		if f, ok := types.CoerceFloat(args[0]); ok {
-			return types.NewInt(int64(math.Round(f)))
-		}
-		return types.Null()
-	case "ABS":
-		if len(args) != 1 {
-			return types.Null()
-		}
-		switch args[0].Kind() {
-		case types.KindInt:
-			v := args[0].Int()
-			if v < 0 {
-				v = -v
-			}
-			return types.NewInt(v)
-		case types.KindFloat:
-			return types.NewFloat(math.Abs(args[0].Float()))
-		}
-		return types.Null()
-	case "DISTINCTCOUNT":
-		// Number of distinct tuples in a bag (used by PigMix L4's nested
-		// distinct + count idiom).
-		if len(args) != 1 || args[0].Kind() != types.KindBag {
-			return types.Null()
-		}
-		return types.NewInt(distinctCount(args[0].Bag()))
-	default:
-		return types.Null()
-	}
-}
-
-func distinctCount(b *types.Bag) int64 {
-	tuples := make([]types.Tuple, len(b.Tuples))
-	copy(tuples, b.Tuples)
-	sort.Slice(tuples, func(i, j int) bool { return types.CompareTuples(tuples[i], tuples[j]) < 0 })
-	var n int64
-	for i := range tuples {
-		if i == 0 || types.CompareTuples(tuples[i], tuples[i-1]) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// foldBag computes SUM/AVG/MIN/MAX over the first field of each tuple in the
-// bag, skipping nulls (Pig aggregate semantics).
-func foldBag(name string, b *types.Bag) types.Value {
-	var (
-		sum    float64
-		allInt = true
-		count  int64
-		best   types.Value
-	)
-	for _, t := range b.Tuples {
-		if len(t) == 0 || t[0].IsNull() {
-			continue
-		}
-		v := t[0]
-		switch name {
-		case "SUM", "AVG":
-			f, ok := types.CoerceFloat(v)
-			if !ok {
-				continue
-			}
-			if v.Kind() != types.KindInt {
-				allInt = false
-			}
-			sum += f
-			count++
-		case "MIN":
-			if count == 0 || types.Compare(v, best) < 0 {
-				best = v
-			}
-			count++
-		case "MAX":
-			if count == 0 || types.Compare(v, best) > 0 {
-				best = v
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return types.Null()
-	}
-	switch name {
-	case "SUM":
-		if allInt {
-			return types.NewInt(int64(sum))
-		}
-		return types.NewFloat(sum)
-	case "AVG":
-		return types.NewFloat(sum / float64(count))
-	default:
-		return best
 	}
 }
 

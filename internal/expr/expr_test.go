@@ -117,6 +117,11 @@ func TestAggregates(t *testing.T) {
 	if got := Call("ISEMPTY", Lit(bagOf())).Eval(nil); !got.Truthy() {
 		t.Error("ISEMPTY of empty bag should be true")
 	}
+	// Past 2^53 a float64 sum drops the 1; an int SUM is exact.
+	big := bagOf(types.Tuple{types.NewInt(1 << 53)}, types.Tuple{types.NewInt(1)})
+	if got := Call("SUM", Lit(big)).Eval(nil); got.Kind() != types.KindInt || got.Int() != 1<<53+1 {
+		t.Errorf("SUM past 2^53 = %v, want %d", got, int64(1<<53+1))
+	}
 	fbag := bagOf(types.Tuple{types.NewFloat(1.5)}, types.Tuple{types.NewInt(1)})
 	if got := Call("SUM", Lit(fbag)).Eval(nil); !types.Equal(got, types.NewFloat(2.5)) {
 		t.Errorf("mixed SUM = %v", got)
@@ -232,6 +237,12 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.Canonical() != e.Canonical() {
 		t.Errorf("JSON round trip changed canonical: %q vs %q", back.Canonical(), e.Canonical())
+	}
+	// The decoded tree evaluates like the original.
+	for _, tup := range []types.Tuple{testTuple, {types.NewString("bob"), types.NewInt(3), types.Null()}} {
+		if got, want := back.Eval(tup), e.Eval(tup); !types.Equal(got, want) || got.Kind() != want.Kind() {
+			t.Errorf("decoded tree on %v = %v, want %v", tup, got, want)
+		}
 	}
 }
 

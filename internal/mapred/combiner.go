@@ -18,22 +18,11 @@ import (
 // and disables the combiner, which is precisely why the paper observes a
 // large materialization overhead for group-heavy queries like L6.
 
-// combKind is the merge function of one combined column.
-type combKind uint8
-
-const (
-	combKey combKind = iota
-	combCount
-	combSum
-	combMin
-	combMax
-)
-
-// combAgg is one output column of the combined Foreach.
+// combAgg is one output column of the combined Foreach: the group key
+// (fold nil), or an algebraic aggregate from the expression function table
+// folding field proj of each grouped tuple.
 type combAgg struct {
-	kind combKind
-	// proj is the bag-projection column for sum/min/max (or the counted
-	// column; -1 when the whole bag is counted).
+	fold *expr.Fold
 	proj int
 }
 
@@ -73,50 +62,22 @@ func detectCombiner(job *Job) *combineSpec {
 func classifyCombExpr(e *expr.Expr) (combAgg, bool) {
 	// Group-key reference: column 0 of the grouped schema.
 	if e.Op == expr.OpCol {
-		if e.Index == 0 {
-			return combAgg{kind: combKey}, true
-		}
+		return combAgg{}, e.Index == 0
+	}
+	fold := e.Fold()
+	if fold == nil || len(e.Args) != 1 {
 		return combAgg{}, false
 	}
-	if e.Op != expr.OpCall || len(e.Args) != 1 {
-		return combAgg{}, false
+	// An aggregate folds the first field of each tuple of its bag argument:
+	// field 0 of the grouped tuples for the bag column itself, the projected
+	// field for a projection of it.
+	switch arg := e.Args[0]; {
+	case arg.Op == expr.OpCol && arg.Index == 1:
+		return combAgg{fold: fold}, true
+	case arg.Op == expr.OpBagProj && arg.Args[0].Op == expr.OpCol && arg.Args[0].Index == 1 && arg.Index >= 0:
+		return combAgg{fold: fold, proj: arg.Index}, true
 	}
-	arg := e.Args[0]
-	proj := -1
-	switch arg.Op {
-	case expr.OpCol:
-		if arg.Index != 1 {
-			return combAgg{}, false
-		}
-	case expr.OpBagProj:
-		if arg.Args[0].Op != expr.OpCol || arg.Args[0].Index != 1 || arg.Index < 0 {
-			return combAgg{}, false
-		}
-		proj = arg.Index
-	default:
-		return combAgg{}, false
-	}
-	switch e.Name {
-	case "COUNT":
-		return combAgg{kind: combCount, proj: proj}, true
-	case "SUM":
-		if proj < 0 {
-			return combAgg{}, false
-		}
-		return combAgg{kind: combSum, proj: proj}, true
-	case "MIN":
-		if proj < 0 {
-			return combAgg{}, false
-		}
-		return combAgg{kind: combMin, proj: proj}, true
-	case "MAX":
-		if proj < 0 {
-			return combAgg{}, false
-		}
-		return combAgg{kind: combMax, proj: proj}, true
-	default:
-		return combAgg{}, false
-	}
+	return combAgg{}, false
 }
 
 // partialState accumulates one map task's partials for one group key.
@@ -149,87 +110,33 @@ func (a *combAccumulator) add(key types.Tuple, t types.Tuple) {
 		ks := string(a.scratch)
 		st = &partialState{key: key.Clone(), vals: make([]types.Value, len(a.spec.aggs))}
 		for i, agg := range a.spec.aggs {
-			if agg.kind == combCount {
-				st.vals[i] = types.NewInt(0)
+			if agg.fold != nil {
+				st.vals[i] = agg.fold.Zero
 			}
 		}
 		a.states[ks] = st
 		a.order = append(a.order, ks)
 	}
 	for i, agg := range a.spec.aggs {
-		switch agg.kind {
-		case combKey:
-		case combCount:
-			st.vals[i] = types.NewInt(st.vals[i].Int() + 1)
-		case combSum:
-			st.vals[i] = mergeSum(st.vals[i], fieldOf(t, agg.proj))
-		case combMin:
-			st.vals[i] = mergeBest(st.vals[i], fieldOf(t, agg.proj), -1)
-		case combMax:
-			st.vals[i] = mergeBest(st.vals[i], fieldOf(t, agg.proj), 1)
+		if agg.fold != nil {
+			st.vals[i] = agg.fold.Step(st.vals[i], fieldOf(t, agg.proj))
 		}
 	}
 }
 
 func fieldOf(t types.Tuple, i int) types.Value {
-	if i < 0 || i >= len(t) {
+	if i >= len(t) {
 		return types.Null()
 	}
 	return t[i]
 }
 
-// mergeSum adds v into acc with Pig semantics: nulls are skipped, integer
-// sums stay integers until a float joins.
-func mergeSum(acc, v types.Value) types.Value {
-	if v.IsNull() {
-		return acc
-	}
-	f, ok := types.CoerceFloat(v)
-	if !ok {
-		return acc
-	}
-	if acc.IsNull() {
-		if v.Kind() == types.KindInt {
-			return types.NewInt(v.Int())
-		}
-		return types.NewFloat(f)
-	}
-	if acc.Kind() == types.KindInt && v.Kind() == types.KindInt {
-		return types.NewInt(acc.Int() + v.Int())
-	}
-	af, _ := types.CoerceFloat(acc)
-	return types.NewFloat(af + f)
-}
-
-// mergeBest keeps the smaller (dir<0) or larger (dir>0) non-null value.
-func mergeBest(acc, v types.Value, dir int) types.Value {
-	if v.IsNull() {
-		return acc
-	}
-	if acc.IsNull() {
-		return v
-	}
-	if c := types.Compare(v, acc); (dir < 0 && c < 0) || (dir > 0 && c > 0) {
-		return v
-	}
-	return acc
-}
-
 // mergePartials combines two partial tuples (reduce side).
 func (s *combineSpec) mergePartials(acc, v types.Tuple) types.Tuple {
-	out := make(types.Tuple, len(acc))
+	out := make(types.Tuple, len(acc)) // key slots stay null
 	for i, agg := range s.aggs {
-		switch agg.kind {
-		case combKey:
-			out[i] = types.Null()
-		case combCount:
-			out[i] = types.NewInt(acc[i].Int() + v[i].Int())
-		case combSum:
-			out[i] = mergeSum(acc[i], v[i])
-		case combMin:
-			out[i] = mergeBest(acc[i], v[i], -1)
-		case combMax:
-			out[i] = mergeBest(acc[i], v[i], 1)
+		if agg.fold != nil {
+			out[i] = agg.fold.Merge(acc[i], v[i])
 		}
 	}
 	return out
@@ -240,15 +147,11 @@ func (s *combineSpec) mergePartials(acc, v types.Tuple) types.Tuple {
 func (s *combineSpec) finalize(key types.Tuple, merged types.Tuple) types.Tuple {
 	out := make(types.Tuple, len(s.aggs))
 	for i, agg := range s.aggs {
-		if agg.kind == combKey {
+		if agg.fold == nil {
 			out[i] = groupValue(s.group, key)
-			continue
+		} else {
+			out[i] = merged[i]
 		}
-		v := merged[i]
-		if agg.kind == combCount && v.IsNull() {
-			v = types.NewInt(0)
-		}
-		out[i] = v
 	}
 	return out
 }

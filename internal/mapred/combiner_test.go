@@ -13,7 +13,8 @@ import (
 )
 
 // buildAggJob constructs Load -> Group(user) -> Foreach(group, SUM(rev),
-// COUNT(C), MIN(rev), MAX(rev)) -> Store, the canonical combinable shape.
+// COUNT(C), MIN(rev), MAX(rev), MIN(C)) -> Store, the canonical combinable
+// shape. MIN(C) folds the whole bag, i.e. field 0 of each grouped tuple.
 func buildAggJob(t *testing.T, out string, injectGroupStore bool) *Job {
 	t.Helper()
 	p := physical.NewPlan()
@@ -36,8 +37,9 @@ func buildAggJob(t *testing.T, out string, injectGroupStore bool) *Job {
 			mustBind(t, expr.Call("COUNT", expr.Col("C")), g.Schema),
 			mustBind(t, expr.Call("MIN", expr.BagProj(expr.Col("C"), "rev")), g.Schema),
 			mustBind(t, expr.Call("MAX", expr.BagProj(expr.Col("C"), "rev")), g.Schema),
+			mustBind(t, expr.Call("MIN", expr.Col("C")), g.Schema),
 		},
-		Schema: types.SchemaFromNames("group", "sum", "cnt", "min", "max")})
+		Schema: types.SchemaFromNames("group", "sum", "cnt", "min", "max", "first")})
 	p.Add(&physical.Operator{Kind: physical.OpStore, Path: out, Inputs: []int{fe.ID}, Schema: fe.Schema})
 	return mustJob(t, "agg", p)
 }
@@ -48,13 +50,18 @@ func TestCombinerDetection(t *testing.T) {
 	if spec == nil {
 		t.Fatal("combinable job not detected")
 	}
-	if len(spec.aggs) != 5 {
+	if len(spec.aggs) != 6 {
 		t.Errorf("aggs = %d", len(spec.aggs))
 	}
-	wantKinds := []combKind{combKey, combSum, combCount, combMin, combMax}
-	for i, w := range wantKinds {
-		if spec.aggs[i].kind != w {
-			t.Errorf("agg %d kind = %v, want %v", i, spec.aggs[i].kind, w)
+	// The key column folds nothing; each aggregate folds with its function
+	// table entry.
+	for i, name := range []string{"", "SUM", "COUNT", "MIN", "MAX", "MIN"} {
+		var want *expr.Fold
+		if name != "" {
+			want = expr.Call(name).Fold()
+		}
+		if spec.aggs[i].fold != want {
+			t.Errorf("agg %d fold = %p, want %s's %p", i, spec.aggs[i].fold, name, want)
 		}
 	}
 }
@@ -96,6 +103,11 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 			types.NewInt(int64(i % 17)),
 		})
 	}
+	// Past 2^53 a float64 sum drops the 1s; both paths must sum ints exactly.
+	rows = append(rows,
+		types.Tuple{types.NewString("dave"), types.NewInt(1 << 53)},
+		types.Tuple{types.NewString("dave"), types.NewInt(1)},
+		types.Tuple{types.NewString("dave"), types.NewInt(1)})
 	run := func(disable bool) ([]string, int64) {
 		e := NewEngine(dfs.New(), cluster.Default())
 		e.DisableCombiner = disable
@@ -112,6 +124,9 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 	plain, plainBytes := run(true)
 	if strings.Join(combined, "|") != strings.Join(plain, "|") {
 		t.Errorf("combined output differs:\n%v\nvs\n%v", combined, plain)
+	}
+	if want := "dave\t9007199254740994\t3\t1\t9007199254740992\tdave"; !strings.Contains(strings.Join(plain, "|"), want) {
+		t.Errorf("uncombined output lacks %q: %v", want, plain)
 	}
 	if combBytes >= plainBytes {
 		t.Errorf("combiner did not shrink shuffle: %d >= %d", combBytes, plainBytes)

@@ -60,6 +60,7 @@ type Error struct {
 	Msg  string
 }
 
+// Error renders the error with its line and column.
 func (e *Error) Error() string {
 	return fmt.Sprintf("piglatin: line %d col %d: %s", e.Line, e.Col, e.Msg)
 }

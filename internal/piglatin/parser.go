@@ -2,6 +2,7 @@ package piglatin
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -78,12 +79,47 @@ func (p *parser) expectIdent() (string, error) {
 	return name, p.advance()
 }
 
+// identAfter consumes the current token (a keyword, or the ":" or "." of a
+// field) and reads the identifier after it.
+func (p *parser) identAfter() (string, error) {
+	if err := p.advance(); err != nil {
+		return "", err
+	}
+	return p.expectIdent()
+}
+
 func (p *parser) expectString() (string, error) {
 	if p.tok.kind != tokString {
 		return "", p.errf("expected quoted string, found %q", p.tok.text)
 	}
 	s := p.tok.text
 	return s, p.advance()
+}
+
+// parseList parses one or more items separated by commas.
+func (p *parser) parseList(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.isPunct(",") {
+			return nil
+		}
+		if err := p.advance(); err != nil {
+			return err
+		}
+	}
+}
+
+// parseExprs parses one or more comma-separated expressions.
+func (p *parser) parseExprs() ([]*expr.Expr, error) {
+	var es []*expr.Expr
+	err := p.parseList(func() error {
+		e, err := p.parseExpr()
+		es = append(es, e)
+		return err
+	})
+	return es, err
 }
 
 // reserved words cannot be used as relation aliases on the LHS.
@@ -102,10 +138,7 @@ func (p *parser) parseStatement() (Stmt, error) {
 		return p.parseSplit(line)
 	}
 	if p.isKeyword("store") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		alias, err := p.expectIdent()
+		alias, err := p.identAfter()
 		if err != nil {
 			return nil, err
 		}
@@ -143,10 +176,7 @@ func (p *parser) parseStatement() (Stmt, error) {
 }
 
 func (p *parser) parseSplit(line int) (Stmt, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	src, err := p.expectIdent()
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -154,29 +184,23 @@ func (p *parser) parseSplit(line int) (Stmt, error) {
 		return nil, err
 	}
 	st := &SplitStmt{Src: src, Line: line}
-	for {
+	err = p.parseList(func() error {
 		alias, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if reserved[strings.ToLower(alias)] {
-			return nil, p.errf("reserved word %q cannot be an alias", alias)
+			return p.errf("reserved word %q cannot be an alias", alias)
 		}
 		if err := p.expectKeyword("if"); err != nil {
-			return nil, err
+			return err
 		}
 		pred, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
 		st.Branches = append(st.Branches, SplitBranch{Alias: alias, Pred: pred})
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(st.Branches) < 2 {
 		return nil, p.errf("split needs at least two branches")
@@ -202,10 +226,7 @@ func (p *parser) parseOp() (OpNode, error) {
 	case p.isKeyword("group"):
 		return p.parseGroup()
 	case p.isKeyword("distinct"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		src, err := p.expectIdent()
+		src, err := p.identAfter()
 		if err != nil {
 			return nil, err
 		}
@@ -233,10 +254,7 @@ func (p *parser) parseLoad() (OpNode, error) {
 	// Optional "using loader" clause, accepted and ignored (all our data is
 	// in the native tuple format).
 	if p.isKeyword("using") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if _, err := p.expectIdent(); err != nil {
+		if _, err := p.identAfter(); err != nil {
 			return nil, err
 		}
 		if p.isPunct("(") {
@@ -283,34 +301,28 @@ func (p *parser) parseSchema() (types.Schema, error) {
 		return types.Schema{}, err
 	}
 	var fields []types.Field
-	for {
+	err := p.parseList(func() error {
 		name, err := p.expectIdent()
 		if err != nil {
-			return types.Schema{}, err
+			return err
 		}
 		f := types.Field{Name: name}
 		if p.isPunct(":") {
-			if err := p.advance(); err != nil {
-				return types.Schema{}, err
-			}
-			tname, err := p.expectIdent()
+			tname, err := p.identAfter()
 			if err != nil {
-				return types.Schema{}, err
+				return err
 			}
 			kind, ok := kindFromTypeName(tname)
 			if !ok {
-				return types.Schema{}, p.errf("unknown type %q", tname)
+				return p.errf("unknown type %q", tname)
 			}
 			f.Kind = kind
 		}
 		fields = append(fields, f)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return types.Schema{}, err
-			}
-			continue
-		}
-		break
+		return nil
+	})
+	if err != nil {
+		return types.Schema{}, err
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return types.Schema{}, err
@@ -336,10 +348,7 @@ func kindFromTypeName(name string) (types.Kind, bool) {
 }
 
 func (p *parser) parseForeach() (OpNode, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	src, err := p.expectIdent()
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -430,10 +439,7 @@ func (p *parser) parseNestedSrc(n *NestedNode) error {
 	}
 	n.SrcAlias = src
 	if p.isPunct(".") {
-		if err := p.advance(); err != nil {
-			return err
-		}
-		field, err := p.expectIdent()
+		field, err := p.identAfter()
 		if err != nil {
 			return err
 		}
@@ -447,38 +453,25 @@ func (p *parser) parseGenerate() ([]GenExpr, error) {
 		return nil, err
 	}
 	var gens []GenExpr
-	for {
+	err := p.parseList(func() error {
 		e, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g := GenExpr{Expr: e}
 		if p.isKeyword("as") {
-			if err := p.advance(); err != nil {
-				return nil, err
+			if g.As, err = p.identAfter(); err != nil {
+				return err
 			}
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			g.As = name
 		}
 		gens = append(gens, g)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return gens, nil
-	}
+		return nil
+	})
+	return gens, err
 }
 
 func (p *parser) parseFilter() (OpNode, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	src, err := p.expectIdent()
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -498,27 +491,21 @@ func (p *parser) parseJoinLike(cogroup bool) (OpNode, error) {
 	}
 	var srcs []string
 	var keys [][]*expr.Expr
-	for {
+	err := p.parseList(func() error {
 		src, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
+			return err
 		}
 		ks, err := p.parseKeySpec()
-		if err != nil {
-			return nil, err
-		}
 		srcs = append(srcs, src)
 		keys = append(keys, ks)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(srcs) < 2 {
 		return nil, p.errf("join/cogroup needs at least two inputs")
@@ -532,43 +519,24 @@ func (p *parser) parseJoinLike(cogroup bool) (OpNode, error) {
 	return &JoinNode{Srcs: srcs, Keys: keys}, nil
 }
 
+// parseKeySpec parses one key expression or a parenthesized list of them.
 func (p *parser) parseKeySpec() ([]*expr.Expr, error) {
-	if p.isPunct("(") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		var ks []*expr.Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			ks = append(ks, e)
-			if p.isPunct(",") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return ks, nil
+	if !p.isPunct("(") {
+		e, err := p.parseExpr()
+		return []*expr.Expr{e}, err
 	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	return []*expr.Expr{e}, nil
-}
-
-func (p *parser) parseGroup() (OpNode, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	src, err := p.expectIdent()
+	ks, err := p.parseExprs()
+	if err != nil {
+		return nil, err
+	}
+	return ks, p.expectPunct(")")
+}
+
+func (p *parser) parseGroup() (OpNode, error) {
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -593,19 +561,13 @@ func (p *parser) parseUnion() (OpNode, error) {
 		return nil, err
 	}
 	var srcs []string
-	for {
+	err := p.parseList(func() error {
 		src, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
 		srcs = append(srcs, src)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(srcs) < 2 {
 		return nil, p.errf("union needs at least two inputs")
@@ -614,10 +576,7 @@ func (p *parser) parseUnion() (OpNode, error) {
 }
 
 func (p *parser) parseOrder() (OpNode, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	src, err := p.expectIdent()
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -625,53 +584,40 @@ func (p *parser) parseOrder() (OpNode, error) {
 		return nil, err
 	}
 	var cols []OrderCol
-	for {
+	err = p.parseList(func() error {
 		var col OrderCol
 		switch p.tok.kind {
 		case tokIdent:
 			col.Name = p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
 		case tokPosCol:
 			idx, err := strconv.Atoi(p.tok.text)
 			if err != nil {
-				return nil, p.errf("bad positional column $%s", p.tok.text)
+				return p.errf("bad positional column $%s", p.tok.text)
 			}
 			col.Idx = idx
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
 		default:
-			return nil, p.errf("expected sort column, found %q", p.tok.text)
+			return p.errf("expected sort column, found %q", p.tok.text)
 		}
-		if p.isKeyword("desc") {
-			col.Desc = true
+		if err := p.advance(); err != nil {
+			return err
+		}
+		if p.isKeyword("desc") || p.isKeyword("asc") {
+			col.Desc = p.isKeyword("desc")
 			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		} else if p.isKeyword("asc") {
-			if err := p.advance(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		cols = append(cols, col)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &OrderNode{Src: src, Cols: cols}, nil
 }
 
 func (p *parser) parseLimit() (OpNode, error) {
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	src, err := p.expectIdent()
+	src, err := p.identAfter()
 	if err != nil {
 		return nil, err
 	}
@@ -690,133 +636,62 @@ func (p *parser) parseLimit() (OpNode, error) {
 
 // --- expressions ---
 
-// parseExpr parses with precedence: or < and < not < comparison < additive <
-// multiplicative < unary < postfix < primary.
+// parseExpr parses one expression by precedence climbing over the operator
+// table of internal/expr.
 func (p *parser) parseExpr() (*expr.Expr, error) {
-	return p.parseOr()
+	return p.parseBinding(0)
 }
 
-func (p *parser) parseOr() (*expr.Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
+// parseBinding parses an expression whose operators bind at least as
+// tightly as min. A prefix operator applies only where its binding power
+// admits it; elsewhere its spelling is read as an identifier (so
+// "a == not b" stays an error). An infix operator takes the expression so
+// far as its left operand when that operand binds at least as tightly
+// (strictly, for operators that do not chain).
+func (p *parser) parseBinding(min int) (*expr.Expr, error) {
+	var left *expr.Expr
+	level := math.MaxInt // the binding power of left's top operator
+	if op := p.operator(expr.Prefix); op != nil && op.Prec >= min {
+		operand, err := p.parseAfter(op.Prec)
+		if err != nil {
+			return nil, err
+		}
+		left, level = expr.Unary(op.Sym, operand), op.Prec
+	} else {
+		var err error
+		if left, err = p.parsePostfix(); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		op := p.operator(expr.Infix)
+		if op == nil || op.Prec < min || level < op.Prec || (level == op.Prec && !op.Chains) {
+			return left, nil
+		}
+		right, err := p.parseAfter(op.Prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		left, level = expr.Binary(op.Sym, left, right), op.Prec
+	}
+}
+
+// parseAfter consumes the current token (an operator, or an opening
+// parenthesis) and parses the expression after it.
+func (p *parser) parseAfter(min int) (*expr.Expr, error) {
+	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	for p.isKeyword("or") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.Binary("or", left, right)
-	}
-	return left, nil
+	return p.parseBinding(min)
 }
 
-func (p *parser) parseAnd() (*expr.Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
+// operator looks the current token up with one of the operator table's
+// spelling lookups (expr.Prefix or expr.Infix).
+func (p *parser) operator(lookup func(string) *expr.Operator) *expr.Operator {
+	if p.tok.kind != tokIdent && p.tok.kind != tokPunct {
+		return nil
 	}
-	for p.isKeyword("and") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.Binary("and", left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (*expr.Expr, error) {
-	if p.isKeyword("not") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return expr.Unary("not", e), nil
-	}
-	return p.parseComparison()
-}
-
-var comparisonOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-
-func (p *parser) parseComparison() (*expr.Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.kind == tokPunct && comparisonOps[p.tok.text] {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return expr.Binary(op, left, right), nil
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdditive() (*expr.Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.isPunct("+") || p.isPunct("-") {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.Binary(op, left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseMultiplicative() (*expr.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isPunct("*") || p.isPunct("/") || p.isPunct("%") {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.Binary(op, left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseUnary() (*expr.Expr, error) {
-	if p.isPunct("-") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return expr.Unary("neg", e), nil
-	}
-	return p.parsePostfix()
+	return lookup(p.tok.text)
 }
 
 // parsePostfix handles "alias.field" bag projection.
@@ -826,10 +701,7 @@ func (p *parser) parsePostfix() (*expr.Expr, error) {
 		return nil, err
 	}
 	for p.isPunct(".") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		field, err := p.expectIdent()
+		field, err := p.identAfter()
 		if err != nil {
 			return nil, err
 		}
@@ -839,86 +711,61 @@ func (p *parser) parsePostfix() (*expr.Expr, error) {
 }
 
 func (p *parser) parsePrimary() (*expr.Expr, error) {
+	var e *expr.Expr
 	switch p.tok.kind {
 	case tokInt:
 		n, err := strconv.ParseInt(p.tok.text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad integer %q", p.tok.text)
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return expr.Lit(types.NewInt(n)), nil
+		e = expr.Lit(types.NewInt(n))
 	case tokFloat:
 		f, err := strconv.ParseFloat(p.tok.text, 64)
 		if err != nil {
 			return nil, p.errf("bad float %q", p.tok.text)
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return expr.Lit(types.NewFloat(f)), nil
+		e = expr.Lit(types.NewFloat(f))
 	case tokString:
-		s := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return expr.Lit(types.NewString(s)), nil
+		e = expr.Lit(types.NewString(p.tok.text))
 	case tokPosCol:
 		idx, err := strconv.Atoi(p.tok.text)
 		if err != nil {
 			return nil, p.errf("bad positional column $%s", p.tok.text)
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return expr.ColIdx(idx), nil
+		e = expr.ColIdx(idx)
 	case tokIdent:
-		name := p.tok.text
-		if err := p.advance(); err != nil {
+		return p.parseName()
+	default:
+		if !p.isPunct("(") {
+			return nil, p.errf("expected an expression, found %q", p.tok.text)
+		}
+		inner, err := p.parseAfter(0)
+		if err != nil {
 			return nil, err
 		}
-		if p.isPunct("(") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			var args []*expr.Expr
-			if !p.isPunct(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.isPunct(",") {
-						if err := p.advance(); err != nil {
-							return nil, err
-						}
-						continue
-					}
-					break
-				}
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return expr.Call(name, args...), nil
-		}
+		return inner, p.expectPunct(")")
+	}
+	return e, p.advance()
+}
+
+// parseName parses a column reference or, before "(", a function call.
+func (p *parser) parseName() (*expr.Expr, error) {
+	name := p.tok.text
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if !p.isPunct("(") {
 		return expr.Col(name), nil
-	case tokPunct:
-		if p.tok.text == "(" {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	var args []*expr.Expr
+	if !p.isPunct(")") {
+		var err error
+		if args, err = p.parseExprs(); err != nil {
+			return nil, err
 		}
 	}
-	return nil, p.errf("expected an expression, found %q", p.tok.text)
+	return expr.Call(name, args...), p.expectPunct(")")
 }

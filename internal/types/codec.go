@@ -71,6 +71,11 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("types: corrupt tuple arity")
 	}
 	off := n
+	// Every value takes at least one byte, so an arity past the bytes left
+	// is corrupt; checking first keeps a bad length from sizing the slice.
+	if arity > uint64(len(buf)-off) {
+		return nil, 0, io.ErrUnexpectedEOF
+	}
 	t := make(Tuple, arity)
 	for i := range t {
 		v, n, err := decodeValue(buf[off:])
@@ -131,6 +136,9 @@ func decodeValue(buf []byte) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("types: corrupt bag count")
 		}
 		off += n
+		if count > uint64(len(buf)-off) { // every tuple takes at least one byte
+			return Value{}, 0, io.ErrUnexpectedEOF
+		}
 		bag := &Bag{Tuples: make([]Tuple, 0, count)}
 		for i := uint64(0); i < count; i++ {
 			t, n, err := DecodeTuple(buf[off:])

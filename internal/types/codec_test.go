@@ -158,3 +158,31 @@ func BenchmarkDecodeTuple(b *testing.B) {
 		}
 	}
 }
+
+// FuzzDecodeTuple feeds DecodeTuple arbitrary bytes, as a torn partition or
+// a hostile peer would. It must never panic or allocate from an unchecked
+// length, and whatever it accepts must re-encode to a canonical form that
+// decodes back to itself.
+func FuzzDecodeTuple(f *testing.F) {
+	for _, t := range []Tuple{
+		{},
+		{Null(), NewBool(true), NewInt(-7), NewFloat(2.5), NewString("a\tb")},
+		{NewTuple(Tuple{NewInt(1)}), NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {}}})},
+	} {
+		f.Add(EncodeTuple(nil, t))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tup, n, err := DecodeTuple(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		enc := EncodeTuple(nil, tup)
+		back, m, err := DecodeTuple(enc)
+		if err != nil || m != len(enc) || !bytes.Equal(EncodeTuple(nil, back), enc) {
+			t.Fatalf("re-encoding %v does not round-trip: %v", tup, err)
+		}
+	})
+}

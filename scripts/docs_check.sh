@@ -6,12 +6,22 @@
 # line directly above it. Grouped const/var blocks are exempt (their
 # members are documented at the block or field level by convention).
 #
+# Also fails on any file:line pointer (name.go:123) in docs/ or README.md:
+# the docs cite code by symbol name, because line numbers go stale with
+# every edit.
+#
 # Run via `make docs-check` (part of `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-FILES=$(find internal/server internal/dfs internal/core internal/obs internal/shardkey internal/persist internal/mapred internal/exec internal/fleet -name '*.go' ! -name '*_test.go'; echo access.go)
+FILES=$(find internal/server internal/dfs internal/core internal/obs internal/shardkey internal/persist internal/mapred internal/exec internal/fleet internal/expr internal/piglatin internal/logical -name '*.go' ! -name '*_test.go'; echo access.go)
+
+pointers=0
+if grep -rnE '\.go:[0-9]+' docs README.md; then
+	echo "docs-check: cite code by symbol name, not file:line (the pointers above go stale)" >&2
+	pointers=1
+fi
 
 status=0
 for f in $FILES; do
@@ -57,4 +67,4 @@ done
 if [ "$status" -ne 0 ]; then
 	echo "docs-check: add doc comments to the declarations above (see docs/ARCHITECTURE.md for the package contracts they should state)" >&2
 fi
-exit $status
+[ "$status" -eq 0 ] && [ "$pointers" -eq 0 ]

@@ -486,6 +486,14 @@ func (s *System) Prepare(src string) (*Prepared, error) {
 	// the trace.
 	start := time.Now()
 	defer func() { s.obs.ObserveStage(obs.StageParse, time.Since(start)) }()
+	return prepare(src, func() string { return fmt.Sprintf("restore/tmp/q%d", s.prep.Add(1)) })
+}
+
+// prepare is the parse → plan → compile chain behind Prepare and Explain.
+// tmpBase names the private namespace the compiled jobs write into; it is
+// called only once the script has planned, so a script that fails to parse
+// or plan draws no preparation number.
+func prepare(src string, tmpBase func() string) (*Prepared, error) {
 	script, err := piglatin.Parse(src)
 	if err != nil {
 		return nil, err
@@ -494,23 +502,16 @@ func (s *System) Prepare(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	requested := make([]string, 0, len(plan.Sinks()))
+	p := &Prepared{Source: src, requested: make([]string, 0, len(plan.Sinks())), tmpBase: tmpBase()}
 	for _, st := range plan.Sinks() {
-		requested = append(requested, st.Path)
+		p.requested = append(p.requested, st.Path)
 	}
-	tmpBase := fmt.Sprintf("restore/tmp/q%d", s.prep.Add(1))
-	workflow, err := mrcompile.Compile(plan, tmpBase)
-	if err != nil {
+	if p.workflow, err = mrcompile.Compile(plan, p.tmpBase); err != nil {
 		return nil, err
 	}
-	return &Prepared{
-		Source:    src,
-		requested: requested,
-		workflow:  workflow,
-		access:    workflowAccess(workflow, requested, tmpBase),
-		flightKey: canonicalFlightKey(workflow, requested, tmpBase),
-		tmpBase:   tmpBase,
-	}, nil
+	p.access = workflowAccess(p.workflow, p.requested, p.tmpBase)
+	p.flightKey = canonicalFlightKey(p.workflow, p.requested, p.tmpBase)
+	return p, nil
 }
 
 // PrepareCached is Prepare through the prepared-plan cache: a script whose
@@ -1000,14 +1001,22 @@ func (s *System) evictPhase(seq int64, st *core.EvictStats) []string {
 		ev, _ := s.selector.EvictWindowBudget(seq, st)
 		evicted = append(evicted, ev...)
 	}
+	return s.cascade(seq, evicted, s.fs.TakeEvictionDirty, st)
+}
+
+// cascade runs the eviction cascade to its fixpoint: an evicted entry's
+// deleted files mark the mutation feed that drain empties, so each round
+// evicts only the readers of what the previous round deleted, and the loop
+// stops once a round evicts nothing or the feed is empty. It returns
+// evicted with the cascaded evictions appended.
+func (s *System) cascade(seq int64, evicted []string, drain func() []string, st *core.EvictStats) []string {
 	for last := evicted; len(last) > 0; {
-		dirty := s.fs.TakeEvictionDirty()
+		dirty := drain()
 		if len(dirty) == 0 {
 			break
 		}
-		ev, _ := s.selector.EvictPaths(seq, dirty, st)
-		evicted = append(evicted, ev...)
-		last = ev
+		last, _ = s.selector.EvictPaths(seq, dirty, st)
+		evicted = append(evicted, last...)
 	}
 	return evicted
 }
@@ -1055,16 +1064,7 @@ func (s *System) CollectGarbage() GCReport {
 	ev, _ := s.selector.Evict(nowSeq, st)
 	rep.Evicted = append(rep.Evicted, ev...)
 	wb, _ := s.selector.EvictWindowBudget(nowSeq, st)
-	rep.Evicted = append(rep.Evicted, wb...)
-	for last := rep.Evicted; len(last) > 0; {
-		dirty := s.fs.TakeEvictionDirty()
-		if len(dirty) == 0 {
-			break
-		}
-		ev, _ := s.selector.EvictPaths(nowSeq, dirty, st)
-		rep.Evicted = append(rep.Evicted, ev...)
-		last = ev
-	}
+	rep.Evicted = s.cascade(nowSeq, append(rep.Evicted, wb...), s.fs.TakeEvictionDirty, st)
 	rep.Retired, _ = s.selector.RetireOutputs(nowSeq, cands, st)
 	s.stats.RecordEviction(*st)
 	return rep
@@ -1100,20 +1100,10 @@ func (s *System) CollectShardGarbage(shard int) GCReport {
 	}
 	st := &rep.Stats
 	ev, _ := s.selector.EvictPaths(nowSeq, dirty, st)
-	rep.Evicted = append(rep.Evicted, ev...)
-	// Cascade fixpoint within the shard: an evicted entry's deleted owned
+	// The cascade stays within the shard: an evicted entry's deleted owned
 	// file re-marks this shard's feed (owned files colocate with their
-	// namespace root), so each extra round touches only readers of the
-	// just-deleted outputs.
-	for last := ev; len(last) > 0; {
-		d := s.fs.TakeEvictionDirtyShard(shard)
-		if len(d) == 0 {
-			break
-		}
-		ev, _ = s.selector.EvictPaths(nowSeq, d, st)
-		rep.Evicted = append(rep.Evicted, ev...)
-		last = ev
-	}
+	// namespace root).
+	rep.Evicted = s.cascade(nowSeq, ev, func() []string { return s.fs.TakeEvictionDirtyShard(shard) }, st)
 	s.stats.RecordEviction(*st)
 	return rep
 }
@@ -1348,21 +1338,13 @@ type Explanation struct {
 // Explain compiles and rewrites a query against the current repository
 // without executing it or changing any state.
 func (s *System) Explain(src string) (*Explanation, error) {
-	script, err := piglatin.Parse(src)
+	p, err := prepare(src, func() string { return "restore/tmp/explain" })
 	if err != nil {
 		return nil, err
 	}
-	plan, err := logical.Build(script)
-	if err != nil {
-		return nil, err
-	}
-	workflow, err := mrcompile.Compile(plan, "restore/tmp/explain")
-	if err != nil {
-		return nil, err
-	}
-	ex := &Explanation{JobsBeforeRewrite: len(workflow.Jobs)}
+	ex := &Explanation{JobsBeforeRewrite: len(p.workflow.Jobs)}
 	rw := &core.Rewriter{Repo: s.repo.Load(), Seq: s.seq.Load(), DryRun: true}
-	outcome, err := rw.RewriteWorkflow(workflow)
+	outcome, err := rw.RewriteWorkflow(p.workflow)
 	if err != nil {
 		return nil, err
 	}
