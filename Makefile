@@ -4,7 +4,7 @@ GO ?= go
 
 BENCHES := match gc obs hot shard engine fleet
 
-.PHONY: check fmt vet test flake race race-server race-shard race-engine race-fleet docs-check build bench-selftest $(BENCHES:%=bench-%) $(BENCHES:%=bench-%-smoke)
+.PHONY: check fmt vet test flake fuzz race race-server race-shard race-engine race-fleet docs-check build bench-selftest $(BENCHES:%=bench-%) $(BENCHES:%=bench-%-smoke)
 
 check: fmt vet docs-check bench-selftest race race-server race-shard race-engine race-fleet $(BENCHES:%=bench-%-smoke)
 
@@ -28,6 +28,18 @@ test:
 # that fails once in twenty is red here before it is red in a tier-1 run.
 flake:
 	$(GO) test -count=20 $$($(GO) list ./... | grep -v '/internal/bench$$')
+
+# Each fuzz target for FUZZTIME; go test -fuzz takes one target per run.
+# Not part of check: tier-1 runs only the checked-in corpora.
+FUZZTIME ?= 30s
+FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
+	FuzzParse:./internal/piglatin FuzzShardKey:./internal/shardkey \
+	FuzzShuffleComparator:./internal/mapred
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test $${t#*:} -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime $(FUZZTIME); \
+	done
 
 race:
 	$(GO) test -race ./...

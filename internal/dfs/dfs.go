@@ -15,9 +15,9 @@
 //     FS-global (one atomic counter across every shard), so versions are
 //     globally monotonic — the leaseless result fast path brackets its reads
 //     with version comparisons and depends on exactly that.
-//   - Every mutation is journaled (SetJournal / SetShardJournals) in its
-//     commit order, under the same shard write lock that applied it, as an
-//     absolute-state Mutation record; replaying a snapshot plus the
+//   - Every mutation is journaled (SetJournals, one journal per shard) in
+//     its commit order, under the same shard write lock that applied it, as
+//     an absolute-state Mutation record; replaying a snapshot plus the
 //     journaled suffix (Apply) reconstructs the FS exactly.
 //     TakeDirty/DirtyCount track which files changed since the last snapshot.
 //

@@ -13,11 +13,11 @@ import (
 // which files are dirty since the last snapshot. A write-ahead log
 // (internal/persist) appends the records durably while queries execute;
 // replaying them over the last snapshot (Apply) reconstructs the FS exactly.
-// Each namespace shard has its own journal hook and dirty feeds, so a
-// sharded persister can run one WAL stream per shard with no cross-shard
-// ordering requirement: a path's records are totally ordered within its own
-// shard's stream, and records for different paths commute (they carry
-// absolute state and touch disjoint keys).
+// Each namespace shard has its own journal hook and dirty feeds, so the
+// persister runs one WAL stream per shard (one stream for a 1-shard FS) with
+// no cross-shard ordering requirement: a path's records are totally ordered
+// within its own shard's stream, and records for different paths commute
+// (they carry absolute state and touch disjoint keys).
 
 // MutationOp enumerates the journaled FS mutations.
 type MutationOp string
@@ -67,28 +67,15 @@ type Journal interface {
 	Record(m Mutation)
 }
 
-// SetJournal attaches (or with nil detaches) the same mutation journal to
-// every shard. Attach it only when the FS is quiescent (daemon startup,
-// after recovery): mutations committed before the attach are not replayed to
-// the journal. With more than one shard the single journal sees concurrent
-// Record calls ordered only per shard; use SetShardJournals for one stream
-// per shard.
-func (fs *FS) SetJournal(j Journal) {
-	for i := range fs.shards {
-		sh := &fs.shards[i]
-		sh.mu.Lock()
-		sh.journal = j
-		sh.mu.Unlock()
-	}
-}
-
-// SetShardJournals attaches one journal per shard (js[i] receives exactly
-// shard i's mutations, each under shard i's write lock — so per-journal
-// Record calls are totally ordered and never concurrent). len(js) must equal
-// NumShards. Same quiescence requirement as SetJournal.
-func (fs *FS) SetShardJournals(js []Journal) {
+// SetJournals attaches one journal per shard: js[i] receives exactly shard
+// i's mutations, each under shard i's write lock, so the Record calls on one
+// journal are totally ordered and never concurrent. len(js) must equal
+// NumShards. Attach only when the FS is quiescent (daemon startup, after
+// recovery): mutations committed before the attach are not replayed to the
+// journals.
+func (fs *FS) SetJournals(js []Journal) {
 	if len(js) != len(fs.shards) {
-		panic(fmt.Sprintf("dfs: SetShardJournals: %d journals for %d shards", len(js), len(fs.shards)))
+		panic(fmt.Sprintf("dfs: SetJournals: %d journals for %d shards", len(js), len(fs.shards)))
 	}
 	for i := range fs.shards {
 		sh := &fs.shards[i]

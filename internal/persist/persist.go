@@ -4,16 +4,20 @@
 // detection on replay.
 //
 // The daemon's state directory holds a snapshot pair (repository.json +
-// dfs.json, written only by compaction) plus one or more wal-NNNNNN.log
-// segments carrying every mutation committed since the oldest segment
-// began. The durability contract:
+// dfs.json, written only by compaction) plus the WAL. The WAL has one
+// layout for every core: a meta stream of repository mutations
+// (wal-NNNNNN.log) and one stream per DFS shard of a C-shard core
+// (wal-sC-SSS-NNNNNN.log). Every stream's segments are numbered by a shared
+// epoch that advances at compaction. Segments lists all of them in replay
+// order. The durability contract:
 //
-//   - A record is durable once the segment has been fsynced (Writer.Flush,
+//   - A record is durable once its segment has been fsynced (Writer.Flush,
 //     or every append in per-record sync mode). A crash loses at most the
 //     records buffered since the last sync.
-//   - A crash mid-append leaves a torn final record; Replay detects it by
-//     the frame's length+CRC32 and truncates the segment back to the last
-//     intact record, so the tail never corrupts recovery or later appends.
+//   - A crash mid-append leaves a torn final record; ReplayFile detects it
+//     by the frame's length+CRC32 and truncates the segment back to the
+//     last intact record, so the tail never corrupts recovery or later
+//     appends.
 //   - Records carry absolute resulting state (see dfs.Mutation and
 //     core.Mutation), so replaying every on-disk segment in order over
 //     whatever snapshot pair survives converges to the state at the end of
@@ -36,10 +40,12 @@ import (
 	"repro/internal/dfs"
 )
 
-// Record is one WAL entry: exactly one of the two mutation kinds. The DFS
-// and repository share a single log so that cross-structure ordering (an
-// eviction's repository remove followed by its DFS file delete) is replayed
-// in commit order.
+// Record is one WAL entry: exactly one of the two mutation kinds. Each
+// record names the structure it mutates, so replay applies a record the
+// same way whichever stream holds it. Order is kept per stream only:
+// repository mutations in the meta stream, a path's DFS mutations in its
+// shard's stream. A 1-shard directory from an older daemon holds DFS
+// records in its wal-NNNNNN.log too; they replay through the same loop.
 type Record struct {
 	DFS  *dfs.Mutation  `json:"dfs,omitempty"`
 	Repo *core.Mutation `json:"repo,omitempty"`
@@ -50,17 +56,29 @@ type Record struct {
 // particular tradition beyond being explicit.
 const frameHeaderSize = 8
 
-// maxRecordSize bounds a single record's payload. Any length field above it
-// is treated as a torn/corrupt tail rather than an allocation request — a
-// few flipped bits in the length must not make recovery attempt a
-// multi-gigabyte read.
+// maxRecordSize bounds a single record's payload. The writer refuses a
+// larger record and the reader treats a larger length field as a torn or
+// corrupt tail, both through checkRecordSize.
 const maxRecordSize = 1 << 30
+
+// checkRecordSize is the one bound on a frame's payload length, shared by
+// encode and ReplayFile: a record the reader would discard as a tear must
+// never be appended and acknowledged.
+func checkRecordSize(n uint64) error {
+	if n > maxRecordSize {
+		return fmt.Errorf("persist: record payload of %d bytes exceeds the %d-byte frame limit", n, maxRecordSize)
+	}
+	return nil
+}
 
 // encode frames one record.
 func encode(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("persist: encode record: %w", err)
+	}
+	if err := checkRecordSize(uint64(len(payload))); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, frameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
@@ -69,21 +87,40 @@ func encode(rec Record) ([]byte, error) {
 	return buf, nil
 }
 
-// segmentPattern names WAL segments so lexical order equals numeric order.
-const segmentPattern = "wal-%06d.log"
+// Segment names: the meta stream's, then shard stream Shard of a
+// Count-shard core's. Both end in a zero-padded epoch. The shard name
+// records the shard count it was written under, so recovery can tell a
+// directory written at a different -shards setting from its file names.
+const (
+	metaPattern  = "wal-%06d.log"
+	shardPattern = "wal-s%d-%03d-%06d.log"
+)
 
-// SegmentPath returns the path of segment n inside dir.
-func SegmentPath(dir string, n uint64) string {
-	return filepath.Join(dir, fmt.Sprintf(segmentPattern, n))
-}
-
-// Segment is one on-disk WAL segment.
+// Segment is one on-disk WAL segment. Count is the shard count of the core
+// that wrote it and Shard its shard stream; the meta stream has Count 0.
+// Sorting by (Epoch, Count, Shard) is replay order: the meta stream first
+// within an epoch, then the shard streams. Shard order within an epoch is
+// for determinism only, because two shard streams never carry records for
+// the same path.
 type Segment struct {
-	N    uint64
-	Path string
+	Epoch uint64
+	Count int
+	Shard int
+	Path  string
 }
 
-// Segments lists the WAL segments in dir in ascending order.
+// SegmentPath returns the path of the epoch segment of stream (count,
+// shard) inside dir; count 0 names the meta stream.
+func SegmentPath(dir string, count, shard int, epoch uint64) string {
+	name := fmt.Sprintf(metaPattern, epoch)
+	if count > 0 {
+		name = fmt.Sprintf(shardPattern, count, shard, epoch)
+	}
+	return filepath.Join(dir, name)
+}
+
+// Segments lists every WAL segment in dir, of every stream and shard
+// count, in replay order.
 func Segments(dir string) ([]Segment, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
@@ -91,13 +128,26 @@ func Segments(dir string) ([]Segment, error) {
 	}
 	var out []Segment
 	for _, p := range names {
-		var n uint64
-		if _, err := fmt.Sscanf(filepath.Base(p), segmentPattern, &n); err != nil {
-			continue // not ours
+		s := Segment{Path: p}
+		base := filepath.Base(p)
+		if _, err := fmt.Sscanf(base, shardPattern, &s.Count, &s.Shard, &s.Epoch); err != nil {
+			s.Count, s.Shard = 0, 0
+			if _, err := fmt.Sscanf(base, metaPattern, &s.Epoch); err != nil {
+				continue // not ours
+			}
 		}
-		out = append(out, Segment{N: n, Path: p})
+		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].N < out[j].N })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Epoch != b.Epoch {
+			return a.Epoch < b.Epoch
+		}
+		if a.Count != b.Count {
+			return a.Count < b.Count
+		}
+		return a.Shard < b.Shard
+	})
 	return out, nil
 }
 
@@ -120,9 +170,11 @@ func SyncDir(dir string) error {
 	return cerr
 }
 
-// RemoveSegmentsBelow deletes every segment numbered < n (compaction's log
-// truncation, run only after the new snapshot pair is fully renamed into
-// place). Returns the number removed.
+// RemoveSegmentsBelow deletes every segment of every stream below epoch n
+// (compaction's log truncation, run only after the new snapshot pair is
+// fully renamed into place). Having rotated all streams to epoch n, the
+// compactor's snapshot covers everything older, including streams of an
+// abandoned shard count. Returns the number removed.
 func RemoveSegmentsBelow(dir string, n uint64) (int, error) {
 	segs, err := Segments(dir)
 	if err != nil {
@@ -130,84 +182,6 @@ func RemoveSegmentsBelow(dir string, n uint64) (int, error) {
 	}
 	removed := 0
 	for _, s := range segs {
-		if s.N >= n {
-			continue
-		}
-		if err := os.Remove(s.Path); err != nil {
-			return removed, err
-		}
-		removed++
-	}
-	return removed, nil
-}
-
-// shardSegmentPattern names per-shard WAL stream segments. The name encodes
-// the sharding layout the segment was written under — total stream count,
-// this stream's shard index, then the epoch — so a directory whose streams
-// were written at a different -shards setting is self-describing: recovery
-// detects the count mismatch from the filenames alone and compacts the old
-// layout away instead of replaying records whose per-path stream routing no
-// longer matches. Epoch numbers share one counter with the meta stream
-// (the legacy wal-NNNNNN.log names, which carry repository mutations): all
-// streams rotate together at compaction.
-const shardSegmentPattern = "wal-s%d-%03d-%06d.log"
-
-// ShardSegmentPath returns the path of shard stream shard-of-count's epoch
-// segment inside dir.
-func ShardSegmentPath(dir string, count, shard int, epoch uint64) string {
-	return filepath.Join(dir, fmt.Sprintf(shardSegmentPattern, count, shard, epoch))
-}
-
-// ShardSegment is one on-disk per-shard WAL stream segment.
-type ShardSegment struct {
-	Count int    // stream count the segment was written under
-	Shard int    // this stream's shard index, 0 <= Shard < Count
-	Epoch uint64 // rotation epoch, shared with the meta stream
-	Path  string
-}
-
-// ShardSegments lists the per-shard stream segments in dir, ordered by
-// (Epoch, Shard) ascending — replay order within an epoch is meta stream
-// first, then shard streams (any shard order is correct: streams for
-// different shards never carry records for the same path).
-func ShardSegments(dir string) ([]ShardSegment, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "wal-s*-*-*.log"))
-	if err != nil {
-		return nil, err
-	}
-	var out []ShardSegment
-	for _, p := range names {
-		var s ShardSegment
-		if _, err := fmt.Sscanf(filepath.Base(p), shardSegmentPattern, &s.Count, &s.Shard, &s.Epoch); err != nil {
-			continue // not ours
-		}
-		s.Path = p
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Epoch != out[j].Epoch {
-			return out[i].Epoch < out[j].Epoch
-		}
-		return out[i].Shard < out[j].Shard
-	})
-	return out, nil
-}
-
-// RemoveAllSegmentsBelow deletes every segment — meta stream and shard
-// streams of any layout — numbered below epoch n. Compaction's truncation
-// for the sharded WAL: having rotated all streams to epoch n, everything
-// older (including streams of an abandoned shard count) is covered by the
-// new snapshot pair.
-func RemoveAllSegmentsBelow(dir string, n uint64) (int, error) {
-	removed, err := RemoveSegmentsBelow(dir, n)
-	if err != nil {
-		return removed, err
-	}
-	shards, err := ShardSegments(dir)
-	if err != nil {
-		return removed, err
-	}
-	for _, s := range shards {
 		if s.Epoch >= n {
 			continue
 		}

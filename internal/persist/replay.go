@@ -11,8 +11,10 @@ import (
 
 // ReplayFile reads the segment at path and calls apply for each intact
 // record in order. A torn tail — a crash mid-append leaving a partial
-// header, a partial payload, an implausible length, or a checksum mismatch
-// — is detected and reported via torn=true. With truncateTorn, the tail is
+// header, a partial payload, an implausible length (over the frame limit or
+// past the end of the file), or a checksum mismatch — is detected and
+// reported via torn=true. No length field can make replay allocate more
+// than the file holds. With truncateTorn, the tail is
 // also physically truncated off the segment so later appends continue from
 // a clean record boundary; without it the file is left untouched. Callers
 // pass truncateTorn only for the segment that was being appended at the
@@ -33,6 +35,11 @@ func ReplayFile(path string, apply func(Record) error, truncateTorn bool) (recor
 		return 0, false, fmt.Errorf("persist: replay %s: %w", path, err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("persist: replay %s: %w", path, err)
+	}
+	size := st.Size()
 
 	var off int64 // offset of the record being read — the truncation point on a tear
 	tear := func() (int, bool, error) {
@@ -59,7 +66,7 @@ func ReplayFile(path string, apply func(Record) error, truncateTorn bool) (recor
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length > maxRecordSize {
+		if checkRecordSize(uint64(length)) != nil || int64(length) > size-off-frameHeaderSize {
 			// A corrupt length field; everything from here on is garbage.
 			return tear()
 		}

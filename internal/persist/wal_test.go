@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -240,35 +241,85 @@ func TestWALChecksumCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestSegmentListingAndGC: one listing covers the meta stream and the
+// shard streams of any shard count, in replay order (epoch, then the meta
+// stream, then shard streams by count and index), and one remover drops
+// every stream's segments below an epoch.
 func TestSegmentListingAndGC(t *testing.T) {
 	dir := t.TempDir()
-	for _, n := range []uint64{3, 1, 2} {
-		writeSegment(t, SegmentPath(dir, n), 1, false)
+	type stream struct{ count, shard int }
+	for _, epoch := range []uint64{3, 1, 2} {
+		for _, st := range []stream{{2, 1}, {0, 0}, {2, 0}} {
+			writeSegment(t, SegmentPath(dir, st.count, st.shard, epoch), 1, false)
+		}
 	}
-	// A stranger file must not confuse the listing.
+	// A 1-shard stream left by a shard-count change, and a stranger file.
+	writeSegment(t, SegmentPath(dir, 1, 0, 1), 1, false)
 	if err := os.WriteFile(filepath.Join(dir, "wal-junk.log"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := Segments(dir)
-	if err != nil {
-		t.Fatal(err)
+	names := func() []string {
+		t.Helper()
+		segs, err := Segments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range segs {
+			if s.Path != SegmentPath(dir, s.Count, s.Shard, s.Epoch) {
+				t.Fatalf("segment %+v does not round-trip its path", s)
+			}
+			out = append(out, filepath.Base(s.Path))
+		}
+		return out
 	}
-	if len(segs) != 3 || segs[0].N != 1 || segs[2].N != 3 {
-		t.Fatalf("segments: %+v", segs)
+	want := []string{
+		"wal-000001.log", "wal-s1-000-000001.log", "wal-s2-000-000001.log", "wal-s2-001-000001.log",
+		"wal-000002.log", "wal-s2-000-000002.log", "wal-s2-001-000002.log",
+		"wal-000003.log", "wal-s2-000-000003.log", "wal-s2-001-000003.log",
+	}
+	if got := names(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("segments:\n got %v\nwant %v", got, want)
 	}
 	removed, err := RemoveSegmentsBelow(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Fatalf("removed %d segments, want 2", removed)
+	if removed != 7 {
+		t.Fatalf("removed %d segments, want 7", removed)
 	}
-	segs, err = Segments(dir)
+	if got := names(); fmt.Sprint(got) != fmt.Sprint(want[7:]) {
+		t.Fatalf("segments after GC: %v", got)
+	}
+}
+
+// TestRecordSizeBound: the writer and the reader share one bound, so a
+// record the reader would discard as a torn tail is never appended.
+func TestRecordSizeBound(t *testing.T) {
+	for _, c := range []struct {
+		n  uint64
+		ok bool
+	}{{0, true}, {maxRecordSize, true}, {maxRecordSize + 1, false}, {1<<32 - 1, false}} {
+		if err := checkRecordSize(c.n); (err == nil) != c.ok {
+			t.Errorf("checkRecordSize(%d) = %v, want ok=%v", c.n, err, c.ok)
+		}
+	}
+	// The reader applies the bound: a frame header claiming one byte over
+	// the limit is a tear, not an allocation request.
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	writeSegment(t, path, 2, false)
+	hdr := make([]byte, frameHeaderSize)
+	binary.LittleEndian.PutUint32(hdr, maxRecordSize+1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 || segs[0].N != 3 {
-		t.Fatalf("segments after GC: %+v", segs)
+	if _, err := f.Write(append(hdr, bytes.Repeat([]byte{'x'}, 64)...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if recs, torn := replayAll(t, path); !torn || len(recs) != 2 {
+		t.Fatalf("oversized length: %d records, torn=%v; want 2, true", len(recs), torn)
 	}
 }
 
@@ -284,11 +335,11 @@ func TestJournaledFSReplayReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dfs.New()
-	src.SetJournal(journalFunc(func(m dfs.Mutation) {
+	src.SetJournals([]dfs.Journal{journalFunc(func(m dfs.Mutation) {
 		if _, err := w.Append(Record{DFS: &m}); err != nil {
 			t.Errorf("append: %v", err)
 		}
-	}))
+	})})
 
 	schema := types.SchemaFromNames("a", "b")
 	live := []string{}

@@ -18,35 +18,36 @@ import (
 // Durable state layout inside the daemon's state directory:
 //
 //	repository.json, dfs.json   snapshot pair, rewritten only by compaction
-//	wal-NNNNNN.log              meta stream: repository mutations (and, for an
-//	                            unsharded core, DFS mutations too)
+//	wal-NNNNNN.log              meta stream: repository mutations
 //	wal-sC-SSS-NNNNNN.log       shard stream S of a C-shard core: the DFS
 //	                            mutations of paths routed to shard S
 //
-// Routine durability is the write-ahead log: every committed DFS and
-// repository mutation is journaled (see dfs.Journal / core.Journal) into
-// the current segment of its stream while queries execute, and fsynced on
-// the -wal-sync cadence — no drain barrier, no rewrite of unchanged data.
-// A sharded core (-shards > 1) runs one WAL stream per shard so appends
-// from disjoint shards never contend on one writer; repository mutations
-// ride a single meta stream (the legacy wal-NNNNNN.log names, so an
-// unsharded directory is just the degenerate one-stream layout). All
-// streams share one epoch counter and rotate together: only compaction
-// (periodic, -compact-every; manual, POST /v1/checkpoint; and shutdown)
-// quiesces the system, sweeps orphaned restore/ files, rotates every
-// stream onto a fresh epoch, writes the snapshot pair (tmp + rename per
-// file), and finally deletes the pre-rotation segments of every stream.
+// Every core writes this one layout, a 1-shard core included (its DFS
+// stream is wal-s1-000-NNNNNN.log). Routine durability is the write-ahead
+// log: every committed DFS and repository mutation is journaled (see
+// dfs.Journal / core.Journal) into the current segment of its stream while
+// queries execute, and fsynced on the -wal-sync cadence — no drain
+// barrier, no rewrite of unchanged data. One stream per DFS shard means
+// appends from disjoint shards never contend on one writer. All streams
+// share one epoch counter and rotate together: only compaction (periodic,
+// -compact-every; manual, POST /v1/checkpoint; and shutdown) quiesces the
+// system, sweeps orphaned restore/ files, rotates every stream onto a
+// fresh epoch, writes the snapshot pair (tmp + rename per file), and
+// finally deletes the pre-rotation segments of every stream.
 //
-// Replay order is epoch-ascending, meta stream first within an epoch, then
-// the shard streams: two shard streams never carry records for the same
-// path (the shard key routes each path to exactly one stream), so their
-// relative order within an epoch is immaterial — replay of interleaved
-// shard segments is order-independent. Stream counts are encoded in the
-// filenames, so a directory written under a different -shards setting is
-// self-describing: recovery replays it (each old layout is internally
-// consistent), then bumps to a fresh epoch and synchronously compacts so
-// new appends never share an epoch with records routed under the old
-// layout.
+// Replay walks persist.Segments in order: epoch-ascending, the meta
+// stream first within an epoch, then the shard streams. Each record says
+// which structure it mutates, so one loop applies every stream. Two shard
+// streams never carry records for the same path (the shard key routes
+// each path to exactly one stream), so their relative order within an
+// epoch is immaterial. A directory written by an older 1-shard daemon,
+// whose wal-NNNNNN.log also holds DFS records, replays through the same
+// loop; appends then continue at its epoch and the first compaction folds
+// it away. Stream counts are encoded in the filenames, so a directory
+// written under a different -shards setting is self-describing: recovery
+// replays it (each old layout is internally consistent), then bumps to a
+// fresh epoch and synchronously compacts so new appends never share an
+// epoch with records routed under the old layout.
 //
 // Crash safety does not rely on a manifest. Mutation records carry
 // absolute resulting state, so recovery — load whatever snapshot pair is
@@ -92,9 +93,8 @@ type persister struct {
 	sys      *restore.System
 	syncEach bool // fsync every record instead of batching
 
-	// nshards is the execution core's shard count; >1 selects the
-	// multi-stream WAL layout (one shard stream per DFS shard plus the
-	// meta stream), 1 the legacy single-log layout.
+	// nshards is the execution core's shard count: the WAL runs one shard
+	// stream per DFS shard plus the meta stream.
 	nshards int
 
 	// obs times WAL appends and fsyncs. The server installs it after
@@ -103,15 +103,13 @@ type persister struct {
 	// a no-op sink.
 	obs *obs.Registry
 
-	// walMu guards the current-epoch writer pointers: appenders and
-	// flushers hold it shared, compaction's rotation holds it exclusive.
-	// wal is the meta stream; shardWals (empty for an unsharded core) is
-	// indexed by DFS shard. seg is the unified rotation epoch shared by
-	// every stream.
-	walMu     sync.RWMutex
-	wal       *persist.Writer
-	shardWals []*persist.Writer
-	seg       uint64
+	// walMu guards the current-epoch writers: appenders and flushers hold
+	// it shared, compaction's rotation holds it exclusive. wals[metaStream]
+	// is the meta stream and wals[1+i] DFS shard i's stream. seg is the
+	// rotation epoch shared by every stream.
+	walMu sync.RWMutex
+	wals  []*persist.Writer
+	seg   uint64
 
 	// compactMu serializes compactions (periodic, manual, shutdown): two
 	// interleaved rotations would orphan a segment's records.
@@ -152,17 +150,13 @@ func newPersister(dir string, sys *restore.System, syncEach bool) (*persister, e
 	}
 	// Journals attach only after recovery: replayed records must not be
 	// re-journaled, and the sweep below should be. From here on every
-	// committed mutation lands in the current segment of its stream — for
-	// a sharded core, each DFS shard journals into its own stream.
-	if p.nshards > 1 {
-		js := make([]dfs.Journal, p.nshards)
-		for i := range js {
-			js[i] = shardFSJournal{p, i}
-		}
-		sys.FS().SetShardJournals(js)
-	} else {
-		sys.FS().SetJournal(fsJournal{p})
+	// committed mutation lands in the current segment of its stream, each
+	// DFS shard journaling into its own.
+	js := make([]dfs.Journal, p.nshards)
+	for i := range js {
+		js[i] = shardJournal{p, 1 + i}
 	}
+	sys.FS().SetJournals(js)
 	sys.Repository().SetJournal(repoJournal{p})
 	p.swept.Add(int64(p.sweepOrphans()))
 	if p.layoutChanged {
@@ -176,17 +170,6 @@ func newPersister(dir string, sys *restore.System, syncEach bool) (*persister, e
 		}
 	}
 	return p, nil
-}
-
-// replaySegment is one on-disk segment of any stream, flattened for the
-// merged epoch-ordered replay.
-type replaySegment struct {
-	epoch uint64
-	meta  bool // meta stream (sorts before shard streams within an epoch)
-	count int  // shard-stream layout count (0 for meta)
-	shard int
-	path  string
-	final bool // newest segment of its stream: the only one allowed to tear
 }
 
 // recover loads the snapshot pair (if any), replays every WAL stream
@@ -221,44 +204,28 @@ func (p *persister) recover() error {
 		return err
 	}
 
-	metaSegs, err := persist.Segments(p.dir)
+	segs, err := persist.Segments(p.dir)
 	if err != nil {
 		return err
 	}
-	shardSegs, err := persist.ShardSegments(p.dir)
-	if err != nil {
-		return err
-	}
-
-	// Flatten both stream families into one epoch-ordered list. The final
-	// segment of each stream — the one being appended at the crash — is
-	// the only one whose tail may be repaired; ShardSegments is sorted by
-	// (epoch, shard), so a stream's final segment is the last one seen.
-	var all []replaySegment
-	for i, seg := range metaSegs {
-		all = append(all, replaySegment{epoch: seg.N, meta: true, path: seg.Path, final: i == len(metaSegs)-1})
-	}
-	finalOf := make(map[[2]int]int) // (count, shard) -> index in all of its newest segment
-	for _, seg := range shardSegs {
-		all = append(all, replaySegment{epoch: seg.Epoch, count: seg.Count, shard: seg.Shard, path: seg.Path})
-		finalOf[[2]int{seg.Count, seg.Shard}] = len(all) - 1
-		if seg.Count != p.nshards {
+	// The newest segment of each stream, the one it was appending at the
+	// crash, is the only one whose tail may be repaired. Segments is in
+	// replay order, so a stream's newest segment is the last one seen.
+	type stream struct{ count, shard int }
+	final := make(map[stream]int)
+	for i, seg := range segs {
+		final[stream{seg.Count, seg.Shard}] = i
+		if seg.Count > 0 && seg.Count != p.nshards {
 			p.layoutChanged = true
 		}
 	}
-	for _, i := range finalOf {
-		all[i].final = true
-	}
-	sortReplaySegments(all)
-
-	for _, seg := range all {
-		// Only the segment a stream was appending at the crash can tear, so
-		// only each stream's final segment gets its tail repaired
-		// (truncated); a tear anywhere earlier is real corruption — fail
-		// without modifying the file, so the evidence (and the fatal error)
-		// survives restarts instead of the next boot silently applying the
-		// later segments over a hole.
-		n, torn, rerr := persist.ReplayFile(seg.path, func(rec persist.Record) error {
+	for i, seg := range segs {
+		// A tear anywhere but a stream's final segment is real corruption:
+		// fail without modifying the file, so the evidence (and the fatal
+		// error) survives restarts instead of the next boot silently
+		// applying the later segments over a hole.
+		isFinal := final[stream{seg.Count, seg.Shard}] == i
+		n, torn, rerr := persist.ReplayFile(seg.Path, func(rec persist.Record) error {
 			switch {
 			case rec.DFS != nil:
 				return fs.Apply(*rec.DFS)
@@ -266,14 +233,14 @@ func (p *persister) recover() error {
 				return repo.Apply(*rec.Repo)
 			}
 			return nil // empty record: tolerated for forward compatibility
-		}, seg.final)
+		}, isFinal)
 		if rerr != nil {
-			return fmt.Errorf("server: replay %s: %w", seg.path, rerr)
+			return fmt.Errorf("server: replay %s: %w", seg.Path, rerr)
 		}
 		p.recoveredRecords += n
 		if torn {
-			if !seg.final {
-				return fmt.Errorf("server: replay %s: torn record in a non-final segment", seg.path)
+			if !isFinal {
+				return fmt.Errorf("server: replay %s: torn record in a non-final segment", seg.Path)
 			}
 			p.recoveredTorn = true
 		}
@@ -302,34 +269,15 @@ func (p *persister) recover() error {
 	// routed under the new shard count and must never share an epoch with
 	// records routed under the old one (replay order within an epoch is
 	// meaningful only within a single layout).
-	var maxEpoch uint64
-	for _, seg := range all {
-		if seg.epoch > maxEpoch {
-			maxEpoch = seg.epoch
-		}
-	}
 	p.seg = 1
-	if maxEpoch > 0 {
-		p.seg = maxEpoch
+	if len(segs) > 0 {
+		p.seg = segs[len(segs)-1].Epoch
 	}
 	if p.layoutChanged {
-		p.seg = maxEpoch + 1
+		p.seg++
 	}
-	w, err := persist.OpenWriter(persist.SegmentPath(p.dir, p.seg), p.syncEach)
-	if err != nil {
+	if p.wals, err = p.openStreams(p.seg); err != nil {
 		return err
-	}
-	p.wal = w
-	if p.nshards > 1 {
-		p.shardWals = make([]*persist.Writer, p.nshards)
-		for i := range p.shardWals {
-			sw, serr := persist.OpenWriter(persist.ShardSegmentPath(p.dir, p.nshards, i, p.seg), p.syncEach)
-			if serr != nil {
-				p.close()
-				return serr
-			}
-			p.shardWals[i] = sw
-		}
 	}
 	// Force one compaction after restart: whatever the log holds (or a
 	// missing snapshot) is folded into a fresh pair on the first interval.
@@ -337,71 +285,65 @@ func (p *persister) recover() error {
 	return nil
 }
 
-// sortReplaySegments orders segments epoch-ascending, meta stream first
-// within an epoch, then shard streams by (count, shard). Shard order
-// within an epoch is for determinism only: streams of one layout never
-// share a path, and distinct layouts never share an epoch.
-func sortReplaySegments(all []replaySegment) {
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && replayBefore(all[j], all[j-1]); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
+// metaStream indexes the meta stream in persister.wals; DFS shard i's
+// stream is 1+i.
+const metaStream = 0
+
+// openStreams opens every stream's segment at epoch: the meta stream, then
+// one per DFS shard. On error it closes what it opened.
+func (p *persister) openStreams(epoch uint64) ([]*persist.Writer, error) {
+	ws := make([]*persist.Writer, 1+p.nshards)
+	for k := range ws {
+		count, shard := 0, 0
+		if k != metaStream {
+			count, shard = p.nshards, k-1
+		}
+		w, err := persist.OpenWriter(persist.SegmentPath(p.dir, count, shard, epoch), p.syncEach)
+		if err != nil {
+			closeStreams(ws[:k])
+			return nil, err
+		}
+		ws[k] = w
+	}
+	return ws, nil
+}
+
+// closeStreams flushes and closes every writer, returning the first error.
+func closeStreams(ws []*persist.Writer) error {
+	var err error
+	for _, w := range ws {
+		if cerr := w.Close(); err == nil {
+			err = cerr
 		}
 	}
+	return err
 }
 
-func replayBefore(a, b replaySegment) bool {
-	if a.epoch != b.epoch {
-		return a.epoch < b.epoch
-	}
-	if a.meta != b.meta {
-		return a.meta
-	}
-	if a.count != b.count {
-		return a.count < b.count
-	}
-	return a.shard < b.shard
+// shardJournal and repoJournal forward committed mutations into the WAL. They
+// are called synchronously under the lock that committed the mutation (the
+// DFS shard's write lock, the repository's), so record order in each stream
+// is exactly commit order for everything that stream carries: per-path
+// order in a shard stream, repository order in the meta stream. shardJournal
+// routes one DFS shard's mutations into that shard's stream.
+type shardJournal struct {
+	p      *persister
+	stream int
 }
 
-// fsJournal, shardFSJournal, and repoJournal forward committed mutations
-// into the WAL. They are called synchronously under the lock that committed
-// the mutation (the DFS shard's write lock, the repository's), so record
-// order in each stream is exactly commit order for everything that stream
-// carries: per-path order in a shard stream, repository order in the meta
-// stream. fsJournal is the unsharded core's single-stream routing;
-// shardFSJournal routes shard i's mutations into shard stream i.
-type fsJournal struct{ p *persister }
-
-func (j fsJournal) Record(m dfs.Mutation) { j.p.append(persist.Record{DFS: &m}) }
-
-type shardFSJournal struct {
-	p     *persister
-	shard int
-}
-
-func (j shardFSJournal) Record(m dfs.Mutation) { j.p.appendShard(j.shard, persist.Record{DFS: &m}) }
+func (j shardJournal) Record(m dfs.Mutation) { j.p.append(j.stream, persist.Record{DFS: &m}) }
 
 type repoJournal struct{ p *persister }
 
-func (j repoJournal) Record(m core.Mutation) { j.p.append(persist.Record{Repo: &m}) }
+func (j repoJournal) Record(m core.Mutation) { j.p.append(metaStream, persist.Record{Repo: &m}) }
 
-// append logs one record to the meta stream's current segment. Journal
-// hooks cannot return errors; a failed append (disk full, closed writer
-// during a shutdown race) is counted and resurfaces as the writer's sticky
-// error on the next flush or compaction.
-func (p *persister) append(rec persist.Record) {
+// append logs one record to the current segment of the given stream.
+// Journal hooks cannot return errors; a failed append (disk full, an
+// oversized record, a closed writer during a shutdown race) is counted and
+// a sticky writer error resurfaces on the next flush or compaction.
+func (p *persister) append(stream int, rec persist.Record) {
 	t := time.Now()
 	p.walMu.RLock()
-	n, err := p.wal.Append(rec)
-	p.walMu.RUnlock()
-	p.obs.ObserveWALAppend(time.Since(t))
-	p.account(n, err)
-}
-
-// appendShard logs one record to shard stream shard's current segment.
-func (p *persister) appendShard(shard int, rec persist.Record) {
-	t := time.Now()
-	p.walMu.RLock()
-	n, err := p.shardWals[shard].Append(rec)
+	n, err := p.wals[stream].Append(rec)
 	p.walMu.RUnlock()
 	p.obs.ObserveWALAppend(time.Since(t))
 	p.account(n, err)
@@ -428,8 +370,8 @@ func (p *persister) flush() error {
 	t := time.Now()
 	p.walMu.RLock()
 	defer p.walMu.RUnlock()
-	err := p.wal.Flush()
-	for _, w := range p.shardWals {
+	var err error
+	for _, w := range p.wals {
 		if ferr := w.Flush(); err == nil {
 			err = ferr
 		}
@@ -456,25 +398,13 @@ func (p *persister) compact() (bool, error) {
 		p.swept.Add(int64(p.sweepOrphans()))
 
 		p.walMu.Lock()
-		next, err := persist.OpenWriter(persist.SegmentPath(p.dir, p.seg+1), p.syncEach)
+		next, err := p.openStreams(p.seg + 1)
 		if err != nil {
 			p.walMu.Unlock()
 			return err
 		}
-		nextShards := make([]*persist.Writer, len(p.shardWals))
-		for i := range p.shardWals {
-			nextShards[i], err = persist.OpenWriter(persist.ShardSegmentPath(p.dir, p.nshards, i, p.seg+1), p.syncEach)
-			if err != nil {
-				next.Close()
-				for _, w := range nextShards[:i] {
-					w.Close()
-				}
-				p.walMu.Unlock()
-				return err
-			}
-		}
-		old, oldShards := p.wal, p.shardWals
-		p.wal, p.shardWals = next, nextShards
+		old := p.wals
+		p.wals = next
 		p.seg++
 		p.walMu.Unlock()
 		// A Close failure means an outgoing segment is missing records (a
@@ -482,12 +412,7 @@ func (p *persister) compact() (bool, error) {
 		// the quiesced in-memory state). The snapshot below supersedes the
 		// damaged segments entirely, so press on — aborting here would keep
 		// the hole on disk; the error is surfaced after the state is safe.
-		closeErr := old.Close()
-		for _, w := range oldShards {
-			if cerr := w.Close(); closeErr == nil {
-				closeErr = cerr
-			}
-		}
+		closeErr := closeStreams(old)
 
 		written, err := p.writeSnapshot()
 		if err != nil {
@@ -495,7 +420,7 @@ func (p *persister) compact() (bool, error) {
 		}
 		// Only now are the pre-rotation segments redundant: the renamed
 		// pair covers every record they held, whatever layout wrote them.
-		if _, err := persist.RemoveAllSegmentsBelow(p.dir, p.seg); err != nil {
+		if _, err := persist.RemoveSegmentsBelow(p.dir, p.seg); err != nil {
 			return err
 		}
 		p.sys.FS().TakeDirty()
@@ -590,27 +515,15 @@ func (p *persister) sweepOrphans() int {
 func (p *persister) close() error {
 	p.walMu.Lock()
 	defer p.walMu.Unlock()
-	var err error
-	if p.wal != nil {
-		err = p.wal.Close()
-	}
-	for _, w := range p.shardWals {
-		if w == nil {
-			continue
-		}
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return closeStreams(p.wals)
 }
 
 // WALStats describes the persistence subsystem in GET /v1/metrics.
 type WALStats struct {
 	// Segment is the current WAL rotation epoch (shared by every stream);
-	// Streams how many append streams the layout runs (1 for an unsharded
-	// core, 1 meta + N shard streams for -shards N); Records/Bytes count
-	// appends since daemon start (across rotations, summed over streams).
+	// Streams how many append streams the layout runs, always 1 meta + N
+	// shard streams for an N-shard core; Records/Bytes count appends since
+	// daemon start (across rotations, summed over streams).
 	Segment uint64 `json:"segment"`
 	Streams int    `json:"streams"`
 	Records int64  `json:"records"`
@@ -640,7 +553,7 @@ type WALStats struct {
 func (p *persister) stats() *WALStats {
 	p.walMu.RLock()
 	seg := p.seg
-	streams := 1 + len(p.shardWals)
+	streams := len(p.wals)
 	p.walMu.RUnlock()
 	return &WALStats{
 		Segment:                 seg,

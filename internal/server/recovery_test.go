@@ -128,16 +128,19 @@ func TestCrashBetweenWALAppendAndCompaction(t *testing.T) {
 	want := exportState(t, d.srv.System())
 	d.crash()
 
-	// No compaction ever saw the workload: everything lives in the log.
+	// No compaction ever saw the workload: everything lives in the log, in
+	// one epoch's segments of the meta stream and the one shard stream.
 	segs, err := persist.Segments(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 {
-		t.Fatalf("expected exactly 1 WAL segment after crash, found %d", len(segs))
+	if len(segs) != 2 || segs[0].Epoch != segs[1].Epoch || segs[0].Count != 0 || segs[1].Count != 1 {
+		t.Fatalf("expected one epoch's meta and shard segment after crash, found %+v", segs)
 	}
-	if st, err := os.Stat(segs[0].Path); err != nil || st.Size() == 0 {
-		t.Fatalf("WAL segment empty (size err=%v): the workload was never logged", err)
+	for _, seg := range segs {
+		if st, err := os.Stat(seg.Path); err != nil || st.Size() == 0 {
+			t.Fatalf("WAL segment %s empty (err=%v): the workload was never logged", filepath.Base(seg.Path), err)
+		}
 	}
 
 	srv2, err := New(Config{StateDir: stateDir, WALSyncInterval: SyncEveryRecord})
@@ -192,12 +195,12 @@ func TestCrashAfterMidRunCompaction(t *testing.T) {
 	}
 }
 
-// TestTornFinalRecordRecovery truncates the crashed daemon's WAL at a
-// spread of byte offsets — including mid-record cuts — and requires every
-// variant to recover deterministically: booting the same truncated
-// directory twice yields byte-identical state, a mid-record cut is
-// reported as a torn tail, and the recovered daemon keeps answering
-// queries with reuse.
+// TestTornFinalRecordRecovery truncates the stream holding the crashed
+// daemon's last appended record at a spread of byte offsets — including
+// mid-record cuts — and requires every variant to recover
+// deterministically: booting the same truncated directory twice yields
+// byte-identical state, a mid-record cut is reported as a torn tail, and the
+// recovered daemon keeps answering queries with reuse.
 func TestTornFinalRecordRecovery(t *testing.T) {
 	stateDir := t.TempDir()
 	d, base := startCrashable(t, Config{System: pigmixSystem(t), StateDir: stateDir})
@@ -210,35 +213,50 @@ func TestTornFinalRecordRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// An upload of a fresh path journals only DFS records, so the last
+	// record the daemon appends is in the shard stream.
+	const lastPath = "in/torn-last"
+	if _, err := c.Upload(lastPath, "k:int", 1, []string{"1", "2"}); err != nil {
+		t.Fatal(err)
+	}
 	d.crash()
 
 	segs, err := persist.Segments(stateDir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments after crash (err=%v)", err)
 	}
-	walPath := segs[len(segs)-1].Path
-	walData, err := os.ReadFile(walPath)
-	if err != nil {
+	last := segs[len(segs)-1]
+	walPath := last.Path
+	var lastRec persist.Record
+	if _, _, err := persist.ReplayFile(walPath, func(r persist.Record) error { lastRec = r; return nil }, false); err != nil {
 		t.Fatal(err)
 	}
-	snapshotFiles := map[string][]byte{}
-	for _, f := range []string{repoStateFile, dfsStateFile} {
+	if last.Count != 1 || lastRec.DFS == nil || lastRec.DFS.Path != lastPath {
+		t.Fatalf("torn victim %s does not end with the last appended record (%+v)", filepath.Base(walPath), lastRec)
+	}
+	names := []string{repoStateFile, dfsStateFile}
+	for _, seg := range segs {
+		names = append(names, filepath.Base(seg.Path))
+	}
+	files := map[string][]byte{}
+	for _, f := range names {
 		b, err := os.ReadFile(filepath.Join(stateDir, f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		snapshotFiles[f] = b
+		files[f] = b
 	}
+	walData := files[filepath.Base(walPath)]
 
 	makeDir := func(cut int) string {
 		dir := t.TempDir()
-		for f, b := range snapshotFiles {
+		for f, b := range files {
+			if f == filepath.Base(walPath) {
+				b = b[:cut]
+			}
 			if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(walPath)), walData[:cut], 0o644); err != nil {
-			t.Fatal(err)
 		}
 		return dir
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -14,19 +15,29 @@ import (
 	"repro/internal/pigmix"
 )
 
-// Crash battery for the sharded WAL layout: a daemon running one stream per
-// execution-core shard plus a meta stream must recover exactly like the
-// single-stream one — per-stream torn tails repaired, interleaved shard
-// segments replayed order-independently, cross-stream divergence healed,
-// and a -shards change across restarts absorbed by a layout compaction.
+// Crash battery for the WAL layout every core writes: one meta stream plus
+// one stream per execution-core shard. Each test runs at 1 shard and at
+// testShards. Per-stream torn tails must be repaired, interleaved stream
+// segments replayed order-independently, and cross-stream divergence
+// healed; a -shards change across restarts must be absorbed by a layout
+// compaction. At 1 shard the two streams still fsync independently, so the
+// divergence cases apply there too.
 
 const testShards = 3
 
-// shardedPigmixSystem builds a sharded System seeded with the tiny PigMix
-// tables.
-func shardedPigmixSystem(t *testing.T) *restore.System {
+// forEachShardCount runs body as one subtest at 1 shard and one at
+// testShards.
+func forEachShardCount(t *testing.T, body func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, testShards} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { body(t, shards) })
+	}
+}
+
+// shardedPigmixSystem builds a System of the given shard count seeded with
+// the tiny PigMix tables.
+func shardedPigmixSystem(t *testing.T, shards int) *restore.System {
 	t.Helper()
-	sys := restore.New(restore.WithShards(testShards))
+	sys := restore.New(restore.WithShards(shards))
 	if err := pigmix.Generate(sys.FS(), tinyPigmix); err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +46,17 @@ func shardedPigmixSystem(t *testing.T) *restore.System {
 
 // shardStreamFiles returns the on-disk shard stream segments grouped by
 // shard index (meta stream excluded).
-func shardStreamFiles(t *testing.T, dir string) map[int][]persist.ShardSegment {
+func shardStreamFiles(t *testing.T, dir string) map[int][]persist.Segment {
 	t.Helper()
-	segs, err := persist.ShardSegments(dir)
+	segs, err := persist.Segments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byShard := map[int][]persist.ShardSegment{}
+	byShard := map[int][]persist.Segment{}
 	for _, s := range segs {
-		byShard[s.Shard] = append(byShard[s.Shard], s)
+		if s.Count > 0 {
+			byShard[s.Shard] = append(byShard[s.Shard], s)
+		}
 	}
 	return byShard
 }
@@ -53,9 +66,11 @@ func shardStreamFiles(t *testing.T, dir string) map[int][]persist.ShardSegment {
 // before any compaction must restart — as a sharded daemon — to
 // byte-identical repository and DFS state, replaying records from the meta
 // stream and every shard stream.
-func TestShardedCrashRecovery(t *testing.T) {
+func TestShardedCrashRecovery(t *testing.T) { forEachShardCount(t, testShardedCrashRecovery) }
+
+func testShardedCrashRecovery(t *testing.T, shards int) {
 	stateDir := t.TempDir()
-	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t), StateDir: stateDir})
+	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t, shards), StateDir: stateDir})
 	c := NewClient(base)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -69,8 +84,8 @@ func TestShardedCrashRecovery(t *testing.T) {
 	wantStreams := d.srv.persist.stats().Streams
 	d.crash()
 
-	if wantStreams != 1+testShards {
-		t.Fatalf("sharded daemon ran %d WAL streams, want %d", wantStreams, 1+testShards)
+	if wantStreams != 1+shards {
+		t.Fatalf("%d-shard daemon ran %d WAL streams, want %d", shards, wantStreams, 1+shards)
 	}
 	// The workload's DFS mutations must actually be spread over the shard
 	// streams, or the whole layout is vacuous.
@@ -83,16 +98,16 @@ func TestShardedCrashRecovery(t *testing.T) {
 			}
 		}
 	}
-	if populated < 2 {
+	if populated < min(2, shards) {
 		t.Fatalf("only %d shard streams hold records; workload never spread across shards", populated)
 	}
 
-	srv2, err := New(Config{Shards: testShards, StateDir: stateDir, WALSyncInterval: SyncEveryRecord})
+	srv2, err := New(Config{Shards: shards, StateDir: stateDir, WALSyncInterval: SyncEveryRecord})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
-	if got := srv2.System().Shards(); got != testShards {
-		t.Fatalf("recovered daemon runs %d shards, want %d", got, testShards)
+	if got := srv2.System().Shards(); got != shards {
+		t.Fatalf("recovered daemon runs %d shards, want %d", got, shards)
 	}
 	if got := exportState(t, srv2.System()); !bytes.Equal(want, got) {
 		t.Fatalf("recovered state differs from pre-crash state (%d vs %d bytes)", len(want), len(got))
@@ -106,14 +121,20 @@ func TestShardedCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestShardReplayOrderIndependent proves the per-shard stream replay is
-// order-independent: the shard streams of a crashed sharded daemon, applied
-// to the recovered snapshot in many shuffled stream orders, always converge
-// to the same DFS state. (Streams for different shards never carry records
-// for the same path, so no interleaving can change the outcome.)
+// TestShardReplayOrderIndependent proves stream replay is
+// order-independent: the segments of a crashed daemon, applied to the
+// recovered snapshot in many shuffled stream orders, always converge to the
+// same DFS state. Shard streams never carry records for the same path, and
+// the meta stream carries no DFS record at all, so no interleaving can
+// change the outcome. At 1 shard the permutation is meta against the one
+// shard stream.
 func TestShardReplayOrderIndependent(t *testing.T) {
+	forEachShardCount(t, testShardReplayOrderIndependent)
+}
+
+func testShardReplayOrderIndependent(t *testing.T, shards int) {
 	stateDir := t.TempDir()
-	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t), StateDir: stateDir})
+	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t, shards), StateDir: stateDir})
 	c := NewClient(base)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -125,20 +146,16 @@ func TestShardReplayOrderIndependent(t *testing.T) {
 	}
 	d.crash()
 
-	segs, err := persist.ShardSegments(stateDir)
+	segs, err := persist.Segments(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 2 {
-		t.Fatalf("want >= 2 shard stream segments to permute, got %d", len(segs))
-	}
-	metaSegs, err := persist.Segments(stateDir)
-	if err != nil {
-		t.Fatal(err)
+	if len(segs) != 1+shards {
+		t.Fatalf("want the %d stream segments of one epoch to permute, got %d", 1+shards, len(segs))
 	}
 
 	replayInOrder := func(order []int) []byte {
-		fs := dfs.NewSharded(testShards)
+		fs := dfs.NewSharded(shards)
 		f, err := os.Open(filepath.Join(stateDir, dfsStateFile))
 		if err != nil {
 			t.Fatal(err)
@@ -152,13 +169,6 @@ func TestShardReplayOrderIndependent(t *testing.T) {
 				return fs.Apply(*rec.DFS)
 			}
 			return nil
-		}
-		// Meta first (it may carry pre-sharding DFS records), then the
-		// shard streams in the permuted order.
-		for _, seg := range metaSegs {
-			if _, _, err := persist.ReplayFile(seg.Path, apply, false); err != nil {
-				t.Fatal(err)
-			}
 		}
 		for _, i := range order {
 			if _, _, err := persist.ReplayFile(segs[i].Path, apply, false); err != nil {
@@ -193,9 +203,11 @@ func TestShardReplayOrderIndependent(t *testing.T) {
 // byte-identical state — and leave a daemon that still answers queries.
 // This is the kill-between-shard-appends case: one stream's tail is torn or
 // short while its siblings are intact.
-func TestShardedTornTailSweep(t *testing.T) {
+func TestShardedTornTailSweep(t *testing.T) { forEachShardCount(t, testShardedTornTailSweep) }
+
+func testShardedTornTailSweep(t *testing.T, shards int) {
 	stateDir := t.TempDir()
-	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t), StateDir: stateDir})
+	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t, shards), StateDir: stateDir})
 	c := NewClient(base)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -235,7 +247,7 @@ func TestShardedTornTailSweep(t *testing.T) {
 		return dir
 	}
 	recoverState := func(dir string) ([]byte, *WALStats) {
-		srv, err := New(Config{Shards: testShards, StateDir: dir, WALSyncInterval: SyncEveryRecord})
+		srv, err := New(Config{Shards: shards, StateDir: dir, WALSyncInterval: SyncEveryRecord})
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -271,7 +283,7 @@ func TestShardedTornTailSweep(t *testing.T) {
 			// The healed daemon must still serve with reuse: boot one for
 			// real and run a query.
 			dir := makeDir(victim, cut)
-			d2, base2 := startCrashable(t, Config{Shards: testShards, StateDir: dir})
+			d2, base2 := startCrashable(t, Config{Shards: shards, StateDir: dir})
 			c2 := NewClient(base2)
 			resp, err := c2.Submit(variantWorkload(t, 1)[0], true)
 			if err != nil {
@@ -290,9 +302,11 @@ func TestShardedTornTailSweep(t *testing.T) {
 // meta stream kept the repository adds referencing those outputs. Recovery
 // must drop the stranded entries instead of serving reads of missing files,
 // and the daemon must keep answering.
-func TestShardedLostStreamHealed(t *testing.T) {
+func TestShardedLostStreamHealed(t *testing.T) { forEachShardCount(t, testShardedLostStreamHealed) }
+
+func testShardedLostStreamHealed(t *testing.T, shards int) {
 	stateDir := t.TempDir()
-	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t), StateDir: stateDir})
+	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t, shards), StateDir: stateDir})
 	c := NewClient(base)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -322,12 +336,15 @@ func TestShardedLostStreamHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(Config{Shards: testShards, StateDir: stateDir, WALSyncInterval: SyncEveryRecord})
+	srv2, err := New(Config{Shards: shards, StateDir: stateDir, WALSyncInterval: SyncEveryRecord})
 	if err != nil {
 		t.Fatalf("recovery with a lost shard stream failed: %v", err)
 	}
 	// Every surviving entry's stored output must exist; stranded ones were
 	// dropped and counted.
+	if srv2.persist.stats().RecoveredDroppedEntries == 0 {
+		t.Error("losing the fattest shard stream stranded no repository entry; divergence never exercised")
+	}
 	fs := srv2.System().FS()
 	for _, e := range srv2.System().Repository().All() {
 		if !fs.Exists(e.OutputPath) {
@@ -367,7 +384,7 @@ func startCrashable2(t *testing.T, srv *Server) (*crashableDaemon, string) {
 // state.
 func TestShardLayoutChangeAcrossRestart(t *testing.T) {
 	stateDir := t.TempDir()
-	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t), StateDir: stateDir})
+	d, base := startCrashable(t, Config{System: shardedPigmixSystem(t, testShards), StateDir: stateDir})
 	c := NewClient(base)
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -390,13 +407,11 @@ func TestShardLayoutChangeAcrossRestart(t *testing.T) {
 		}
 		// The layout compaction must have removed every foreign-layout
 		// stream.
-		segs, err := persist.ShardSegments(stateDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range segs {
-			if s.Count != newShards {
-				t.Fatalf("foreign-layout stream %s survived the -shards=%d restart", filepath.Base(s.Path), newShards)
+		for _, segs := range shardStreamFiles(t, stateDir) {
+			for _, s := range segs {
+				if s.Count != newShards {
+					t.Fatalf("foreign-layout stream %s survived the -shards=%d restart", filepath.Base(s.Path), newShards)
+				}
 			}
 		}
 		if err := srv2.persist.close(); err != nil {
