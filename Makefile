@@ -34,7 +34,7 @@ flake:
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
 	FuzzParse:./internal/piglatin FuzzShardKey:./internal/shardkey \
-	FuzzShuffleComparator:./internal/mapred
+	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -134,10 +134,6 @@ type leaseTable struct {
 	mu       sync.Mutex
 	waiting  []*execLease
 	inflight map[*execLease]struct{}
-	// obs records admission waits and queue/in-flight gauges; nil (or
-	// obs.Disabled) turns every record into a single-branch no-op. Set via
-	// System.SetObserver before traffic; never mutated mid-stream.
-	obs *obs.Registry
 }
 
 // acquire blocks until the access set can be admitted and returns the
@@ -145,7 +141,6 @@ type leaseTable struct {
 // callers sharing one set across goroutines (Prepared.Access) rely on
 // acquire treating it as read-only.
 func (lt *leaseTable) acquire(a AccessSet) *execLease {
-	start := time.Now()
 	l := &execLease{access: a, ready: make(chan struct{})}
 	lt.mu.Lock()
 	if lt.inflight == nil {
@@ -154,21 +149,7 @@ func (lt *leaseTable) acquire(a AccessSet) *execLease {
 	lt.waiting = append(lt.waiting, l)
 	lt.promote()
 	lt.mu.Unlock()
-	lt.obs.LeaseQueued(1)
-	if a.Universal {
-		// Universal barriers (checkpoints, repository swaps) stall until
-		// the whole system drains; surfacing how many are stalled — and for
-		// how long, via the lease-wait histogram — is the signal that tells
-		// an operator compaction cadence is fighting live traffic.
-		lt.obs.UniversalQueued(1)
-	}
 	<-l.ready
-	lt.obs.LeaseQueued(-1)
-	if a.Universal {
-		lt.obs.UniversalQueued(-1)
-	}
-	lt.obs.LeaseAdmitted(1)
-	lt.obs.ObserveLeaseWait(time.Since(start))
 	return l
 }
 
@@ -178,7 +159,6 @@ func (lt *leaseTable) release(l *execLease) {
 	delete(lt.inflight, l)
 	lt.promote()
 	lt.mu.Unlock()
-	lt.obs.LeaseAdmitted(-1)
 }
 
 // promote grants eligible waiters in FIFO order. Called with mu held.
@@ -296,8 +276,7 @@ type heldLease struct {
 type shardedLeases struct {
 	tables []leaseTable
 	// obs records admission waits and queue/in-flight gauges once per
-	// logical acquire (the per-table obs stay nil, so part-level accounting
-	// no-ops). Set via System.SetObserver before traffic.
+	// logical acquire. Set via System.SetObserver before traffic.
 	obs *obs.Registry
 }
 

@@ -28,9 +28,9 @@
 //     repository mutex — reuse semantics are identical at any shard count.
 //     Only the path-keyed state (the Rule-4 invalidation index byPath and
 //     the §5 retention table) is sharded by shardkey, each shard behind its
-//     own lock, so per-shard GC scanners and disjoint queries' invalidation
-//     probes never contend. Lock order is r.mu → pathShard.mu → r.jmu;
-//     methods that take a later lock never hold an earlier one afterwards.
+//     own lock, so disjoint queries' invalidation probes never contend.
+//     Lock order is r.mu → pathShard.mu → r.jmu; methods that take a later
+//     lock never hold an earlier one afterwards.
 package core
 
 import (
@@ -152,10 +152,10 @@ func (e *Entry) index() *physical.PlanIndex {
 
 // pathShard is one independently locked slice of the repository's
 // path-keyed state: the Rule-4 invalidation index and the §5 retention
-// table, restricted to the DFS paths shardkey routes here. Per-shard GC
-// scanners drain the DFS eviction feed shard-by-shard and probe only the
-// matching pathShard, so scanners never contend with each other or with
-// disjoint queries' invalidation checks.
+// table, restricted to the DFS paths shardkey routes here. An eviction
+// pass probes only the pathShards of the paths it was fed, so disjoint
+// queries' invalidation checks and retention notes on different shards
+// never contend.
 type pathShard struct {
 	mu sync.RWMutex
 	// byPath is the inverted invalidation index: DFS path -> entries whose

@@ -140,24 +140,14 @@ func (fs *FS) TakeDirty() []string {
 func (fs *FS) TakeEvictionDirty() []string {
 	var out []string
 	for i := range fs.shards {
-		out = append(out, fs.TakeEvictionDirtyShard(i)...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TakeEvictionDirtyShard drains shard i's eviction feed only — the per-shard
-// GC scanners use it so each scanner's work is proportional to its own
-// shard's churn and scanners on different shards never contend.
-func (fs *FS) TakeEvictionDirtyShard(i int) []string {
-	sh := &fs.shards[i]
-	sh.mu.Lock()
-	taken := sh.evictDirty
-	sh.evictDirty = nil
-	sh.mu.Unlock()
-	out := make([]string, 0, len(taken))
-	for p := range taken {
-		out = append(out, p)
+		sh := &fs.shards[i]
+		sh.mu.Lock()
+		taken := sh.evictDirty
+		sh.evictDirty = nil
+		sh.mu.Unlock()
+		for p := range taken {
+			out = append(out, p)
+		}
 	}
 	sort.Strings(out)
 	return out

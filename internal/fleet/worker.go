@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -126,6 +127,27 @@ func writeError(rw http.ResponseWriter, status int, badAddr string, err error) {
 	writeJSON(rw, status, errorResponse{Error: err.Error(), BadAddr: badAddr})
 }
 
+// maxTaskBody bounds a task request body: a map task's input split or a
+// reduce partition's envelope, no larger than one WAL frame.
+const maxTaskBody = 1 << 30
+
+// decodeTask decodes a task request body of at most maxTaskBody bytes into
+// v. On failure it answers the request itself (413 past the limit, 400 for
+// malformed JSON) and returns false.
+func decodeTask(rw http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxTaskBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(rw, status, "", err)
+	return false
+}
+
 func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 	if w.failNextMap.Add(-1) >= 0 {
 		writeError(rw, http.StatusInternalServerError, "", fmt.Errorf("fleet: injected map fault"))
@@ -133,8 +155,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.failNextMap.Store(0)
 	var req mapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", err)
+	if !decodeTask(rw, r, &req) {
 		return
 	}
 	wj, err := w.job(req.Key, req.Job, req.ReduceParts, req.Combine)
@@ -174,8 +195,7 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handleReduce(rw http.ResponseWriter, r *http.Request) {
 	var req reduceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", err)
+	if !decodeTask(rw, r, &req) {
 		return
 	}
 	wj, err := w.job(req.Key, req.Job, req.ReduceParts, req.Combine)
@@ -281,8 +301,7 @@ func (w *Worker) handleShuffle(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, "", err)
+	if !decodeTask(rw, r, &req) {
 		return
 	}
 	w.mu.Lock()

@@ -43,8 +43,8 @@ const (
 	StageMatch
 	// StagePlan is phase 2: sub-job enumeration and final job construction.
 	StagePlan
-	// StageExecute is phase 3: the MapReduce engine run (including any
-	// emulated remote-cluster latency).
+	// StageExecute is phase 3: the MapReduce engine run on the installed
+	// backend (in-process, or the worker fleet).
 	StageExecute
 	// StageStore is phase 4: candidate registration and retention notes.
 	StageStore

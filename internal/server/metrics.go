@@ -36,7 +36,6 @@ type metrics struct {
 	uploads     atomic.Int64
 	checkpoints atomic.Int64
 	gcRuns      atomic.Int64
-	gcShardRuns atomic.Int64
 	gcEvicted   atomic.Int64
 	gcRetired   atomic.Int64
 }
@@ -105,13 +104,10 @@ type MetricsSnapshot struct {
 	// shutdown); routine WAL flushes are not checkpoints and are reported
 	// under WAL instead.
 	Checkpoints int64 `json:"checkpoints"`
-	// GCRuns counts background growth-management passes; GCShardRuns the
-	// per-shard scanner passes of a sharded core (zero on a single-domain
-	// one); GCEvicted and GCOutputsRetired what they reclaimed (repository
-	// entries, user-named outputs). Per-query eviction work is reported
-	// under reuse.evict.
+	// GCRuns counts background growth-management passes; GCEvicted and
+	// GCOutputsRetired what they reclaimed (repository entries, user-named
+	// outputs). Per-query eviction work is reported under reuse.evict.
 	GCRuns           int64 `json:"gcRuns"`
-	GCShardRuns      int64 `json:"gcShardRuns,omitempty"`
 	GCEvicted        int64 `json:"gcEvicted"`
 	GCOutputsRetired int64 `json:"gcOutputsRetired"`
 
@@ -179,7 +175,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Uploads:            m.uploads.Load(),
 		Checkpoints:        m.checkpoints.Load(),
 		GCRuns:             m.gcRuns.Load(),
-		GCShardRuns:        m.gcShardRuns.Load(),
 		GCEvicted:          m.gcEvicted.Load(),
 		GCOutputsRetired:   m.gcRetired.Load(),
 	}

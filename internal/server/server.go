@@ -227,18 +227,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.GCInterval > 0 {
 		s.saveWG.Add(1)
 		go s.gcLoop(cfg.GCInterval)
-		// A sharded core additionally runs one scanner per shard: each
-		// drains its own shard's eviction-dirty feed under a shard-local
-		// lease (System.CollectShardGarbage), so scanners of disjoint
-		// shards collect concurrently with each other and with query
-		// traffic, while the full gcLoop pass above keeps owning the
-		// cross-shard work (window, size budget, output retention).
-		if n := sys.Shards(); n > 1 {
-			for i := 0; i < n; i++ {
-				s.saveWG.Add(1)
-				go s.shardGCLoop(i, cfg.GCInterval)
-			}
-		}
 	}
 
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -374,31 +362,6 @@ func (s *Server) gcLoop(every time.Duration) {
 	}
 }
 
-// shardGCLoop drives one shard's eviction scanner: each tick drains that
-// shard's eviction-dirty feed (paths whose files changed since the last
-// pass) and runs the index-driven eviction rules over just those paths,
-// under a shard-local lease that excludes only universal barriers. Ticks
-// on a clean shard are near-free, so every shard can afford the same
-// cadence as the full pass.
-func (s *Server) shardGCLoop(shard int, every time.Duration) {
-	defer s.saveWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			t0 := time.Now()
-			rep := s.sys.CollectShardGarbage(shard)
-			s.obsReg.ObserveGCSweep(time.Since(t0))
-			s.met.gcShardRuns.Add(1)
-			s.met.gcEvicted.Add(int64(len(rep.Evicted)))
-			s.met.gcRetired.Add(int64(len(rep.Retired)))
-		case <-s.stopSave:
-			return
-		}
-	}
-}
-
 // checkpointNow runs a compaction on a worker slot and waits for it:
 // persister.compact quiesces the System — the universal lease lets every
 // in-flight execution finish and keeps everything arriving behind it
@@ -496,8 +459,7 @@ func (e badRequestError) Unwrap() error { return e.err }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequestError{fmt.Errorf("bad request body: %w", err)})
+	if !decodeBody(w, r, maxScriptBody, &req) {
 		return
 	}
 	if req.Script == "" {
@@ -674,8 +636,7 @@ func readRows(sys *restore.System, res *restore.Result) (map[string][]string, er
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequestError{fmt.Errorf("bad request body: %w", err)})
+	if !decodeBody(w, r, maxScriptBody, &req) {
 		return
 	}
 	ex, err := s.sys.Explain(req.Script)
@@ -688,8 +649,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequestError{fmt.Errorf("bad request body: %w", err)})
+	if !decodeBody(w, r, maxUploadBody, &req) {
 		return
 	}
 	if req.Path == "" || req.Schema == "" {
@@ -806,10 +766,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// Request body limits. A script is text a person wrote; an upload carries
+// data, bounded by the WAL frame limit its records must fit.
+const (
+	maxScriptBody = 1 << 20
+	maxUploadBody = 1 << 30
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it answers the request itself (413 past the limit, 400 for
+// anything else) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeError(w, badRequestError{fmt.Errorf("bad request body: %w", err)})
+		return false
+	}
+	return true
+}
+
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	var bad badRequestError
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &bad):
 		code = http.StatusBadRequest
 	case errors.Is(err, errQueueFull), errors.Is(err, errShuttingDown):

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -161,5 +162,31 @@ func TestBadRequests(t *testing.T) {
 	}
 	if m.QueriesFailed == 0 {
 		t.Error("unparsable query not counted as failed")
+	}
+}
+
+// TestScriptBodyLimit pins the request body bound: a query or explain body
+// one byte over maxScriptBody is refused with 413 before any of it is
+// parsed, while a body exactly at the limit is decoded (and fails as the
+// bad script it is, with 400).
+func TestScriptBodyLimit(t *testing.T) {
+	srv, _ := newTestServer(t)
+	body := func(n int) string {
+		const head, tail = `{"script":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	for _, path := range []string{"/v1/query", "/v1/explain"} {
+		for _, tc := range []struct {
+			size, want int
+		}{
+			{maxScriptBody, http.StatusBadRequest},
+			{maxScriptBody + 1, http.StatusRequestEntityTooLarge},
+		} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body(tc.size))))
+			if rec.Code != tc.want {
+				t.Errorf("POST %s with a %d-byte body: status %d, want %d (%s)", path, tc.size, rec.Code, tc.want, rec.Body)
+			}
+		}
 	}
 }

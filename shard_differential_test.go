@@ -97,8 +97,8 @@ func exportAll(t *testing.T, s *System) []byte {
 
 // TestShardDifferentialOracle runs seeded mixed conflict/disjoint workloads
 // through a sharded system and the single-domain oracle in the same order,
-// with an evicting policy, interleaved full-GC passes, and end-of-run
-// per-shard scanner passes. Every observable must match: per-query rewrite
+// with an evicting policy and interleaved full-GC passes. Every observable
+// must match: per-query rewrite
 // and eviction decisions, output rows, reuse statistics, and finally the
 // byte-identical repository+DFS state.
 func TestShardDifferentialOracle(t *testing.T) {
@@ -171,23 +171,8 @@ func TestShardDifferentialOracle(t *testing.T) {
 			if !reflect.DeepEqual(oracle.Stats(), sharded.Stats()) {
 				t.Fatalf("reuse statistics diverged:\noracle  %+v\nsharded %+v", oracle.Stats(), sharded.Stats())
 			}
-			converged := exportAll(t, sharded)
-			if want := exportAll(t, oracle); !bytes.Equal(want, converged) {
-				t.Fatalf("final state diverged: oracle %d bytes, sharded %d bytes", len(want), len(converged))
-			}
-
-			// The per-shard scanners must be pure concurrency plumbing: with
-			// the systems converged (the per-query phases already drained the
-			// same dirty feed), draining every shard's feed evicts nothing
-			// and leaves the state byte-identical — the scanner only ever
-			// moves eviction work earlier, never changes its outcome.
-			for i := 0; i < nss; i++ {
-				if rep := sharded.CollectShardGarbage(i); len(rep.Evicted) != 0 {
-					t.Fatalf("shard %d scanner evicted %v on a converged system", i, rep.Evicted)
-				}
-			}
-			if got := exportAll(t, sharded); !bytes.Equal(converged, got) {
-				t.Fatal("per-shard scanner passes mutated a converged system")
+			if got, want := exportAll(t, sharded), exportAll(t, oracle); !bytes.Equal(want, got) {
+				t.Fatalf("final state diverged: oracle %d bytes, sharded %d bytes", len(want), len(got))
 			}
 		})
 	}

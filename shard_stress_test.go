@@ -11,10 +11,10 @@ import (
 
 // TestShardBarrierStress storms a sharded system from three sides at once:
 // per-namespace query workers (single- and multi-shard leases), one GC
-// scanner per shard (shard-local leases draining the per-shard dirty
-// feeds), and a checkpoint loop taking the universal cross-shard barrier
-// (SaveState). The barrier acquires every shard's lease table in canonical
-// ascending order, so the test's job is to prove the ordering invariant
+// goroutine per shard (CollectGarbage passes draining the dirty feed under
+// retention leases), and a checkpoint loop taking the universal cross-shard
+// barrier (SaveState). The barrier acquires every shard's lease table in
+// canonical ascending order, so the test's job is to prove the ordering invariant
 // under contention: no deadlock (the test finishes), no lost entries (every
 // surviving repository entry's stored output still exists and still serves
 // a reuse), and a quiesced lease table at the end.
@@ -60,7 +60,6 @@ func TestShardBarrierStress(t *testing.T) {
 		}()
 	}
 	for i := 0; i < shards; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -70,7 +69,7 @@ func TestShardBarrierStress(t *testing.T) {
 					return
 				default:
 				}
-				sys.CollectShardGarbage(i)
+				sys.CollectGarbage()
 			}
 		}()
 	}
@@ -98,9 +97,9 @@ func TestShardBarrierStress(t *testing.T) {
 	}
 
 	// No lost entries: everything the repository still indexes must be
-	// readable, and every dangling reference is a bug in a scanner or the
+	// readable, and every dangling reference is a bug in a GC pass or the
 	// barrier (an eviction that removed the file but not the entry, or a
-	// checkpoint that raced a scanner's removal).
+	// checkpoint that raced a pass's removal).
 	if sys.leases.inflightCount() != 0 {
 		t.Fatalf("lease tables not drained after the storm: %d inflight", sys.leases.inflightCount())
 	}
