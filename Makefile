@@ -4,9 +4,9 @@ GO ?= go
 
 BENCHES := match gc obs hot shard engine fleet
 
-.PHONY: check fmt vet test flake fuzz race race-server race-shard race-engine race-fleet docs-check build bench-selftest $(BENCHES:%=bench-%) $(BENCHES:%=bench-%-smoke)
+.PHONY: check fmt vet test flake fuzz race race-server race-shard race-engine race-fleet oracle-imports docs-check build bench-selftest $(BENCHES:%=bench-%) $(BENCHES:%=bench-%-smoke)
 
-check: fmt vet docs-check bench-selftest race race-server race-shard race-engine race-fleet $(BENCHES:%=bench-%-smoke)
+check: fmt vet oracle-imports docs-check bench-selftest race race-server race-shard race-engine race-fleet $(BENCHES:%=bench-%-smoke)
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,15 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# internal/oracle is the test-only reference evaluator and query generator.
+# Fails if any package imports it from a non-test file (go list's .Imports
+# leaves out test files' imports).
+oracle-imports:
+	@out=$$($(GO) list -f '{{.ImportPath}}:{{range .Imports}} {{.}}{{end}}' ./... | grep -E ' repro/internal/oracle( |$$)' | cut -d: -f1); \
+	if [ -n "$$out" ]; then \
+		echo "internal/oracle is test-only; imported by:"; echo "$$out"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -48,7 +57,8 @@ race:
 # property tests in the root package, the daemon's stress/liveness/drain
 # tests, plus the WAL torn-tail/replay tests) runs twice under the detector:
 # interleavings differ per run. internal/core rides along for the
-# indexed-vs-naive match equivalence property test.
+# indexed-vs-naive match equivalence property test (FindBestMatchNaive is
+# the reference for which entry matches, which no row comparison sees).
 race-server:
 	$(GO) test -race -count=2 -run 'TestLease|TestPropertyLeases|TestExecuteRead' .
 	$(GO) test -race -count=2 ./internal/server/... ./internal/persist/... ./internal/core/...
@@ -61,26 +71,33 @@ race-server:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The sharded-core battery: the differential oracle (sharded system must be
-# observationally identical to the single-domain one), the cross-shard
-# barrier stress storm, and the shard-key unit/fuzz corpus. Runs twice under
-# the detector: the concurrent phases' interleavings differ per run.
+# The oracle and sharded-core batteries: every seeded script's rows equal
+# internal/oracle's at every point of {shards 1, 4} x {reuse off, cold,
+# warm, hot} x {PrepareCached, Prepare}; the shard differential (the sharded
+# system makes the single-domain one's decisions and leaves its
+# byte-identical state, with the oracle's rows); int and double keys meeting
+# at any partition count; the cross-shard barrier stress storm; and the
+# shard-key unit/fuzz corpus. Runs twice under the detector: the concurrent
+# phases' interleavings differ per run.
 race-shard:
-	$(GO) test -race -count=2 -run 'TestShard|TestUniversalBarrier' .
+	$(GO) test -race -count=2 -run 'TestOracleBattery|TestNumericKeys|TestShard|TestUniversalBarrier' .
 	$(GO) test -race -count=2 ./internal/shardkey/...
 
-# The engine data-plane battery: the differential oracle (the parallel
-# sorted-run/k-way-merge plane must be byte-identical to the serial
-# single-sort reference), the multi-failure map-phase error collection, and
-# the compiled-comparator fuzz corpus. Runs twice under the detector: map
-# and reduce pool interleavings differ per run.
+# The engine data-plane battery: every job's rows equal internal/oracle's
+# exactly (kinds, bag order, which of two equal keys), and the drawn map and
+# reduce parallelism leaves the same DFS bytes and JobResults as
+# parallelism 1; the multi-failure map-phase error collection; the
+# compiled-comparator fuzz corpus; and HashTuple agreeing with Compare. Runs
+# twice under the detector: map and reduce pool interleavings differ per
+# run.
 race-engine:
 	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors' ./internal/mapred
-	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare' ./internal/mapred ./internal/types
+	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash' ./internal/mapred ./internal/types
 
-# The fleet backend battery: the backend differential oracle (the worker
-# fleet must leave repository and DFS byte-identical to the in-process
-# engine), the fault-injection suite (worker crash before/mid/after map,
+# The fleet backend battery: the backend differential (the worker fleet
+# makes the in-process engine's rewrite decisions, leaves repository and DFS
+# byte-identical to it, and both store internal/oracle's rows for the
+# generator's scripts), the fault-injection suite (worker crash before/mid/after map,
 # torn shuffle pulls, duplicate completions, repository-backed recovery),
 # and the wire-codec round-trip property. Runs twice under the detector:
 # coordinator dispatch and worker slot interleavings differ per run.
@@ -99,8 +116,9 @@ race-fleet:
 #           path instrumented vs obs.Disabled
 #   hot     repeat-query submission with the zero-compile hot path on vs off
 #   shard   the all-disjoint round on a single-domain core vs an 8-shard one
-#   engine  the reduce-side ordering kernel (concat + stable sort vs sorted
-#           runs + k-way merge) and the whole order job on each plane
+#   engine  the reduce-side ordering kernel (concat + stable sort over the
+#           closure-chain reference order vs sorted runs + k-way merge) and
+#           the whole order job on the data plane
 #   fleet   a grouped-aggregate query stream through a two-worker HTTP fleet
 # End-to-end speed (throughput, latency, the layer budget) is not here: it
 # is `bash benchmark/run.sh`. Per name, the package(s) and the regexp:

@@ -23,6 +23,7 @@ import (
 	"repro/internal/logical"
 	"repro/internal/mapred"
 	"repro/internal/mrcompile"
+	"repro/internal/oracle"
 	"repro/internal/physical"
 	"repro/internal/piglatin"
 )
@@ -77,64 +78,20 @@ func newFleetSystem(t *testing.T, addrs []string, opts ...restore.Option) (*rest
 	return sys, coord
 }
 
-// seedFleetData loads identical seeded fact/dim tables into a system.
-func seedFleetData(t *testing.T, s *restore.System, seed int64) {
+// loadFleetTables loads the oracle's seeded tables under data/ into a
+// system and returns them.
+func loadFleetTables(t *testing.T, s *restore.System, seed int64) []oracle.Table {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var facts, dims []string
-	for i := 0; i < 200; i++ {
-		facts = append(facts, fmt.Sprintf("k%02d\t%d\t%d\tv%d",
-			rng.Intn(20), rng.Intn(100), rng.Intn(10), rng.Intn(5)))
-	}
-	for i := 0; i < 20; i++ {
-		dims = append(dims, fmt.Sprintf("k%02d\tname%d", i, i))
-	}
-	if err := s.LoadTSV("data/facts", "k, a:int, b:int, c", facts, 3); err != nil {
+	tables := oracle.Tables(seed, "data")
+	if err := oracle.Load(s.FS(), tables); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadTSV("data/dims", "k, label", dims, 2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// randomFleetQuery builds a random pipeline; the small operator space repeats
-// sub-plans across queries so the repository fills and rewrites kick in.
-func randomFleetQuery(rng *rand.Rand, idx int) (src, out string) {
-	out = fmt.Sprintf("out/q%d", idx)
-	var sb strings.Builder
-	sb.WriteString("F = load 'data/facts' as (k, a:int, b:int, c);\n")
-	cur := "F"
-	for i := 0; i < 1+rng.Intn(2); i++ {
-		next := fmt.Sprintf("S%d", i)
-		switch rng.Intn(3) {
-		case 0:
-			fmt.Fprintf(&sb, "%s = filter %s by a > %d;\n", next, cur, 10+10*rng.Intn(6))
-		case 1:
-			fmt.Fprintf(&sb, "%s = foreach %s generate k, a, b, c;\n", next, cur)
-		case 2:
-			fmt.Fprintf(&sb, "%s = distinct %s;\n", next, cur)
-		}
-		cur = next
-	}
-	switch rng.Intn(3) {
-	case 0:
-		fmt.Fprintf(&sb, "G = group %s by k;\nR = foreach G generate group, COUNT(%s), SUM(%s.a);\n", cur, cur, cur)
-		cur = "R"
-	case 1:
-		sb.WriteString("D = load 'data/dims' as (k, label);\n")
-		fmt.Fprintf(&sb, "J = join D by k, %s by k;\n", cur)
-		cur = "J"
-	case 2:
-		fmt.Fprintf(&sb, "O = order %s by a desc, k;\n", cur)
-		cur = "O"
-	}
-	fmt.Fprintf(&sb, "store %s into '%s';\n", cur, out)
-	return sb.String(), out
+	return tables
 }
 
 // groupQuery is the canonical blocking query the fault tests run: one job,
 // injected map-side sub-job stores (aggressive heuristic), a reduce phase.
-const groupQuery = `F = load 'data/facts' as (k, a:int, b:int, c);
+const groupQuery = `F = load 'data/facts' as (k:chararray, a:int, b:int, c:chararray, d:double);
 S = filter F by a > 20;
 G = group S by k;
 R = foreach G generate group, COUNT(S), SUM(S.a);
@@ -166,48 +123,55 @@ func runAndRead(t *testing.T, s *restore.System, src, out string) []string {
 }
 
 // TestFleetDifferentialOracle: a fleet-backed system must be observationally
-// identical to the in-process oracle on seeded workloads — the same rewrite
-// decisions, the same rows, and byte-identical final repository + DFS state.
+// identical to the in-process one on the oracle generator's seeded scripts —
+// the same rewrite decisions and byte-identical final repository + DFS
+// state — and both must store the oracle's rows.
 func TestFleetDifferentialOracle(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			tf := startFleet(t, 2, WorkerConfig{}, nil)
-			oracle := restore.New()
+			local := restore.New()
 			fleetSys, coord := newFleetSystem(t, tf.addrs)
-			seedFleetData(t, oracle, seed)
-			seedFleetData(t, fleetSys, seed)
+			tables := loadFleetTables(t, local, seed)
+			loadFleetTables(t, fleetSys, seed)
 
-			rng := rand.New(rand.NewSource(seed))
+			gen := oracle.NewGen(seed, tables)
 			for q := 0; q < 12; q++ {
-				src, out := randomFleetQuery(rng, q)
-				resO, err := oracle.Execute(src)
+				out := fmt.Sprintf("out/q%d", q)
+				src := gen.Script(out)
+				want, err := oracle.Run(src, tables)
 				if err != nil {
 					t.Fatalf("oracle q%d: %v\n%s", q, err, src)
+				}
+				resL, err := local.Execute(src)
+				if err != nil {
+					t.Fatalf("in-process q%d: %v\n%s", q, err, src)
 				}
 				resF, err := fleetSys.Execute(src)
 				if err != nil {
 					t.Fatalf("fleet q%d: %v\n%s", q, err, src)
 				}
-				if len(resO.Rewrites) != len(resF.Rewrites) {
-					t.Fatalf("q%d rewrite decisions diverged: oracle %d, fleet %d",
-						q, len(resO.Rewrites), len(resF.Rewrites))
+				if len(resL.Rewrites) != len(resF.Rewrites) {
+					t.Fatalf("q%d rewrite decisions diverged: in-process %d, fleet %d",
+						q, len(resL.Rewrites), len(resF.Rewrites))
 				}
-				rowsO, err := oracle.ReadOutputTSV(resO, out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rowsF, err := fleetSys.ReadOutputTSV(resF, out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strings.Join(rowsO, "\n") != strings.Join(rowsF, "\n") {
-					t.Fatalf("q%d rows diverged: oracle %d rows, fleet %d rows\n%s",
-						q, len(rowsO), len(rowsF), src)
+				for _, side := range []struct {
+					name string
+					sys  *restore.System
+					res  *restore.Result
+				}{{"in-process", local, resL}, {"fleet", fleetSys, resF}} {
+					rows, err := side.sys.ReadOutput(side.res, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := oracle.Diff(want[out], rows); err != nil {
+						t.Fatalf("q%d %s rows: %v\n%s", q, side.name, err, src)
+					}
 				}
 			}
-			if want, got := exportState(t, oracle), exportState(t, fleetSys); !bytes.Equal(want, got) {
-				t.Fatalf("final state diverged: oracle %d bytes, fleet %d bytes", len(want), len(got))
+			if want, got := exportState(t, local), exportState(t, fleetSys); !bytes.Equal(want, got) {
+				t.Fatalf("final state diverged: in-process %d bytes, fleet %d bytes", len(want), len(got))
 			}
 			st := coord.Stats()
 			if st.MapTasksDispatched == 0 {
@@ -225,13 +189,13 @@ func TestFleetDifferentialOracle(t *testing.T) {
 // rows identical to the in-process run.
 func TestFleetWorkerFaultBeforeMap(t *testing.T) {
 	tf := startFleet(t, 2, WorkerConfig{}, nil)
-	oracle := restore.New()
+	local := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
-	seedFleetData(t, oracle, 7)
-	seedFleetData(t, fleetSys, 7)
+	loadFleetTables(t, local, 7)
+	loadFleetTables(t, fleetSys, 7)
 
 	tf.workers[0].failNextMap.Store(1)
-	want := runAndRead(t, oracle, groupQuery, "out/fault")
+	want := runAndRead(t, local, groupQuery, "out/fault")
 	got := runAndRead(t, fleetSys, groupQuery, "out/fault")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("rows diverged after injected map fault: %d vs %d rows", len(want), len(got))
@@ -245,15 +209,15 @@ func TestFleetWorkerFaultBeforeMap(t *testing.T) {
 // the map phase is declared dead and its tasks re-dispatched to the survivor.
 func TestFleetWorkerCrashMidMap(t *testing.T) {
 	tf := startFleet(t, 2, WorkerConfig{}, nil)
-	oracle := restore.New()
+	local := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
-	seedFleetData(t, oracle, 11)
-	seedFleetData(t, fleetSys, 11)
+	loadFleetTables(t, local, 11)
+	loadFleetTables(t, fleetSys, 11)
 
 	// Close before the query: every dispatch to it is a transport error, so
 	// the first map task lands on a dead worker mid-stream.
 	tf.servers[1].Close()
-	want := runAndRead(t, oracle, groupQuery, "out/fault")
+	want := runAndRead(t, local, groupQuery, "out/fault")
 	got := runAndRead(t, fleetSys, groupQuery, "out/fault")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("rows diverged after worker crash: %d vs %d rows", len(want), len(got))
@@ -272,10 +236,10 @@ func TestFleetWorkerCrashMidMap(t *testing.T) {
 // holder, recover the lost map tasks, and still produce identical rows.
 func TestFleetWorkerCrashAfterMap(t *testing.T) {
 	tf := startFleet(t, 2, WorkerConfig{}, nil)
-	oracle := restore.New()
+	local := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
-	seedFleetData(t, oracle, 13)
-	seedFleetData(t, fleetSys, 13)
+	loadFleetTables(t, local, 13)
+	loadFleetTables(t, fleetSys, 13)
 
 	var once sync.Once
 	coord.Engine().PhaseHook = func(jobID, phase string) {
@@ -283,7 +247,7 @@ func TestFleetWorkerCrashAfterMap(t *testing.T) {
 			once.Do(func() { tf.servers[0].Close() })
 		}
 	}
-	want := runAndRead(t, oracle, groupQuery, "out/fault")
+	want := runAndRead(t, local, groupQuery, "out/fault")
 	got := runAndRead(t, fleetSys, groupQuery, "out/fault")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("rows diverged after post-map crash: %d vs %d rows", len(want), len(got))
@@ -302,14 +266,14 @@ func TestFleetWorkerCrashAfterMap(t *testing.T) {
 // and retried — never silently folded into the merge.
 func TestFleetTornShufflePull(t *testing.T) {
 	tf := startFleet(t, 2, WorkerConfig{}, nil)
-	oracle := restore.New()
+	local := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
-	seedFleetData(t, oracle, 17)
-	seedFleetData(t, fleetSys, 17)
+	loadFleetTables(t, local, 17)
+	loadFleetTables(t, fleetSys, 17)
 
 	tf.workers[0].tornNextShuffle.Store(1)
 	tf.workers[1].tornNextShuffle.Store(1)
-	want := runAndRead(t, oracle, groupQuery, "out/fault")
+	want := runAndRead(t, local, groupQuery, "out/fault")
 	got := runAndRead(t, fleetSys, groupQuery, "out/fault")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("rows diverged after torn shuffle pull: %d vs %d rows", len(want), len(got))
@@ -327,7 +291,7 @@ func TestFleetTornShufflePull(t *testing.T) {
 func TestFleetDuplicateCompletionIdempotent(t *testing.T) {
 	tf := startFleet(t, 1, WorkerConfig{}, nil)
 	sys := restore.New()
-	seedFleetData(t, sys, 19)
+	loadFleetTables(t, sys, 19)
 
 	script, err := piglatin.Parse(groupQuery)
 	if err != nil {
@@ -433,10 +397,10 @@ func TestFleetDuplicateCompletionIdempotent(t *testing.T) {
 // re-executed from scratch.
 func TestFleetKillWorkerRecoversFromRepository(t *testing.T) {
 	tf := startFleet(t, 3, WorkerConfig{}, nil)
-	oracle := restore.New()
+	local := restore.New()
 	fleetSys, coord := newFleetSystem(t, tf.addrs)
-	seedFleetData(t, oracle, 23)
-	seedFleetData(t, fleetSys, 23)
+	tables := loadFleetTables(t, local, 23)
+	loadFleetTables(t, fleetSys, 23)
 
 	var once sync.Once
 	coord.Engine().PhaseHook = func(jobID, phase string) {
@@ -449,17 +413,16 @@ func TestFleetKillWorkerRecoversFromRepository(t *testing.T) {
 	}
 
 	queries := []string{groupQuery}
-	rng := rand.New(rand.NewSource(23))
+	gen := oracle.NewGen(23, tables)
 	for q := 0; q < 5; q++ {
-		src, _ := randomFleetQuery(rng, q)
-		queries = append(queries, src)
+		queries = append(queries, gen.Script(fmt.Sprintf("out/q%d", q)))
 	}
 	for qi, src := range queries {
 		out := "out/fault"
 		if qi > 0 {
 			out = fmt.Sprintf("out/q%d", qi-1)
 		}
-		want := runAndRead(t, oracle, src, out)
+		want := runAndRead(t, local, src, out)
 		got := runAndRead(t, fleetSys, src, out)
 		if strings.Join(want, "\n") != strings.Join(got, "\n") {
 			t.Fatalf("q%d rows diverged after worker kill: %d vs %d rows\n%s",
@@ -562,10 +525,10 @@ func BenchmarkFleetGroupQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var facts []string
 	for i := 0; i < 500; i++ {
-		facts = append(facts, fmt.Sprintf("k%02d\t%d\t%d\tv%d",
-			rng.Intn(20), rng.Intn(100), rng.Intn(10), rng.Intn(5)))
+		facts = append(facts, fmt.Sprintf("k%02d\t%d\t%d\tv%d\t%d",
+			rng.Intn(20), rng.Intn(100), rng.Intn(10), rng.Intn(5), rng.Intn(40)))
 	}
-	if err := sys.LoadTSV("data/facts", "k, a:int, b:int, c", facts, 4); err != nil {
+	if err := sys.LoadTSV("data/facts", "k:chararray, a:int, b:int, c:chararray, d:double", facts, 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -55,10 +55,11 @@ func fuzzTuple(rng *rand.Rand, maxCols int) types.Tuple {
 	return t
 }
 
-// referenceCompareRec is the pre-compilation shuffle order, restated
-// verbatim from the serial plane's sortShuffle closure chain: CompareTuples
-// (or the Order SortCols loop over types.Compare), then tag, then seq. The
-// fuzz target holds the compiled jobComparator to this oracle.
+// referenceCompareRec is the shuffle order written the plain way, as a
+// closure chain: CompareTuples (or the Order SortCols loop over
+// types.Compare), then tag, then seq. The fuzz target holds the compiled
+// jobComparator to it, and BenchmarkShuffleKernel sorts with it as the
+// baseline.
 func referenceCompareRec(b *physical.Operator, x, y *shuffleRec) int {
 	cmpKey := func(a, bk types.Tuple) int { return types.CompareTuples(a, bk) }
 	if b != nil && b.Kind == physical.OpOrder {

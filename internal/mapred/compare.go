@@ -9,10 +9,10 @@ import (
 // Order's per-column sort directions), then input tag, then sequence
 // number — compiled once per job instead of being rebuilt as a closure
 // chain per comparison. Key columns go through types.CompareColumn, whose
-// order is identical to types.Compare's, so the compiled order matches the
-// closure-based sortShuffle order exactly; the seq component is globally
-// unique (taskIdx<<32|n), which makes the whole order strict and lets both
-// the run sort and the k-way merge be non-stable without changing output.
+// order is identical to types.Compare's (FuzzShuffleComparator holds it to
+// that reference); the seq component is globally unique (taskIdx<<32|n),
+// which makes the whole order strict and lets both the run sort and the
+// k-way merge be non-stable without changing output.
 type jobComparator struct {
 	// desc holds Order's per-column direction flags; nil for every other
 	// blocking kind, where keys compare with full CompareTuples semantics
@@ -37,7 +37,7 @@ func compileComparator(b *physical.Operator) *jobComparator {
 func (c *jobComparator) compareKey(x, y types.Tuple) int {
 	if c.desc != nil {
 		// Order keys always have len(SortCols) columns (blockingKey pads
-		// with nulls), mirroring sortShuffle's i<len guard.
+		// with nulls); the i<len guard only keeps a malformed key safe.
 		for i, d := range c.desc {
 			var v int
 			if i < len(x) && i < len(y) {

@@ -12,34 +12,34 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/expr"
+	"repro/internal/oracle"
 	"repro/internal/physical"
 	"repro/internal/types"
 )
 
-// The differential oracle battery: the default data plane (locally sorted
-// runs, k-way merge, parallel reduce, pooled buffers, compiled comparator)
-// must be observationally identical to the serial single-sort reference
-// plane — byte-identical DFS state after every partition commit, identical
-// rows, and identical JobResult statistics — across randomized datasets and
-// every blocking operator kind. make check runs this under -race -count=2
-// (the race-engine gate), so the parallel plane's interleavings vary per
-// run while the comparison stays exact.
+// The data-plane battery holds the engine's data plane (locally sorted
+// runs, k-way merge, parallel map and reduce pools, pooled buffers, the
+// compiled comparator, the combiner) to two references across randomized
+// datasets and every blocking operator kind:
+//   - internal/oracle, which evaluates each job's plan straight over the
+//     in-memory tables and shares none of that code;
+//   - itself at parallelism 1, to which the drawn parallelism must be
+//     byte-identical.
+// make check runs it under -race -count=2 (the race-engine gate), so the
+// pools' interleavings vary per run while both comparisons stay exact.
 
-// planeSummary is everything observable about one plane's execution of the
-// whole random workload.
-type planeSummary struct {
-	export  []byte              // full DFS state (deterministic serialization)
-	results []*JobResult        // per job, in workload order
-	rows    map[string][]string // output path -> rows in partition order
-	errs    []string            // per job: "" or the error string
+// planeRun is everything observable about one run of the whole workload.
+type planeRun struct {
+	export  []byte                   // full DFS state (deterministic serialization)
+	results []*JobResult             // per job, in workload order
+	rows    map[string][]types.Tuple // output path -> rows in partition order
 }
 
-// dpSeedData writes the two random input tables for one seed. Key domains
-// are small so groups and joins collide; values mix ints, floats that
-// equal ints numerically, strings, and nulls to exercise every comparator
-// path the shuffle can see.
-func dpSeedData(t *testing.T, fs *dfs.FS, rng *rand.Rand) {
-	t.Helper()
+// dpTables draws the two input tables for one seed. Key domains are small
+// so groups and joins collide; keys mix ints, floats that equal ints
+// numerically, and nulls to exercise every comparator and partitioner path
+// the shuffle can see.
+func dpTables(rng *rand.Rand) []oracle.Table {
 	randKey := func() types.Value {
 		switch rng.Intn(10) {
 		case 0:
@@ -66,20 +66,9 @@ func dpSeedData(t *testing.T, fs *dfs.FS, rng *rand.Rand) {
 			types.NewInt(int64(rng.Intn(50))),
 		}
 	}
-	aSchema := types.NewSchema(
-		types.Field{Name: "k"},
-		types.Field{Name: "v", Kind: types.KindInt},
-		types.Field{Name: "s", Kind: types.KindString},
-	)
-	bSchema := types.NewSchema(
-		types.Field{Name: "k"},
-		types.Field{Name: "w", Kind: types.KindInt},
-	)
-	if err := fs.WritePartitioned("data/a", aSchema, aRows, 3+rng.Intn(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WritePartitioned("data/b", bSchema, bRows, 2+rng.Intn(3)); err != nil {
-		t.Fatal(err)
+	return []oracle.Table{
+		{Path: "data/a", Schema: dpASchema(), Rows: aRows, Parts: 3 + rng.Intn(3)},
+		{Path: "data/b", Schema: dpBSchema(), Rows: bRows, Parts: 2 + rng.Intn(3)},
 	}
 }
 
@@ -214,96 +203,84 @@ func dpJobs(t *testing.T, rng *rand.Rand) []*Job {
 	return jobs
 }
 
-// dpRunPlane executes the whole seed-derived workload on one engine plane
-// and captures everything observable about it. Randomized engine knobs
-// (reduce partitioning, combiner toggle) are drawn from the same seed on
-// both planes, so the two runs differ only in the data-plane
-// implementation.
-func dpRunPlane(t *testing.T, seed int64, serial bool) *planeSummary {
+// dpRun executes the whole seed-derived workload and captures everything
+// observable about it. The engine knobs (reduce partitions, combiner,
+// parallelism) are drawn from the seed; serial pins both pools to one
+// worker, so the run differs from the drawn one in scheduling only.
+func dpRun(t *testing.T, seed int64, serial bool) (*planeRun, []oracle.Table, []*Job) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fs := dfs.New()
-	dpSeedData(t, fs, rng)
+	tables := dpTables(rng)
+	if err := oracle.Load(fs, tables); err != nil {
+		t.Fatal(err)
+	}
 	e := NewEngine(fs, cluster.Default())
-	e.SerialDataPlane = serial
 	e.ReduceTasks = 1 + rng.Intn(6)
 	e.DisableCombiner = rng.Intn(3) == 0
-	// Draw the parallelism knobs unconditionally so both planes consume the
-	// same rng stream and dpJobs builds identical workloads.
-	mapPar, redPar := 1+rng.Intn(4), 1+rng.Intn(4)
-	if !serial {
-		e.MapParallelism = mapPar
-		e.ReduceParallelism = redPar
+	e.MapParallelism, e.ReduceParallelism = 1+rng.Intn(4), 1+rng.Intn(4)
+	if serial {
+		e.MapParallelism, e.ReduceParallelism = 1, 1
 	}
-	sum := &planeSummary{rows: make(map[string][]string)}
-	for _, job := range dpJobs(t, rng) {
+	run := &planeRun{rows: make(map[string][]types.Tuple)}
+	jobs := dpJobs(t, rng)
+	for _, job := range jobs {
 		res, err := e.RunJob(context.Background(), job)
 		if err != nil {
-			sum.errs = append(sum.errs, err.Error())
-			sum.results = append(sum.results, nil)
-			continue
+			t.Fatalf("job %s: %v", job.ID, err)
 		}
-		sum.errs = append(sum.errs, "")
-		sum.results = append(sum.results, res)
+		run.results = append(run.results, res)
 		for _, st := range job.Plan.Sinks() {
-			rows, err := fs.ReadAll(st.Path)
-			if err != nil {
+			if run.rows[st.Path], err = fs.ReadAll(st.Path); err != nil {
 				t.Fatalf("read %s: %v", st.Path, err)
 			}
-			lines := make([]string, len(rows))
-			for i, r := range rows {
-				lines[i] = types.FormatTSV(r)
-			}
-			sum.rows[st.Path] = lines
 		}
 	}
 	var buf bytes.Buffer
 	if err := fs.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sum.export = buf.Bytes()
-	return sum
+	run.export = buf.Bytes()
+	return run, tables, jobs
 }
 
-// TestEngineDataPlaneDifferential pins the parallel-merge data plane
-// byte-identical to the serial single-sort oracle across seeds: same DFS
-// export bytes (partition-exact output), same rows in the same partition
-// order, same JobResult statistics and simulated times.
+// TestEngineDataPlaneDifferential checks, per seed:
+//   - against the oracle, every job's output rows exactly: each value's
+//     kind, each bag's order and which of two equal keys (3 and 3.0) is
+//     emitted. Outputs written in one partition or per map task (ORDER,
+//     LIMIT, map-side stores) are compared in order; hash-partitioned ones
+//     as a multiset of rows.
+//   - determinism: the drawn parallelism leaves the same DFS export bytes
+//     and the same JobResults as parallelism 1.
 func TestEngineDataPlaneDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			oracle := dpRunPlane(t, seed, true)
-			got := dpRunPlane(t, seed, false)
+			got, tables, jobs := dpRun(t, seed, false)
+			for _, job := range jobs {
+				want, err := oracle.Eval(job.Plan, tables)
+				if err != nil {
+					t.Fatalf("job %s: %v", job.ID, err)
+				}
+				b := job.Blocking()
+				for _, st := range job.Plan.Sinks() {
+					ordered := job.MapSide(st.ID) || b.Kind == physical.OpOrder || b.Kind == physical.OpLimit
+					if err := oracle.DiffExact(want[st.Path].Rows, got.rows[st.Path], ordered); err != nil {
+						t.Errorf("job %s, %s: %v", job.ID, st.Path, err)
+					}
+				}
+			}
 
-			if !reflect.DeepEqual(oracle.errs, got.errs) {
-				t.Fatalf("error disagreement:\noracle: %v\nplane:  %v", oracle.errs, got.errs)
-			}
-			for i := range oracle.results {
-				or, gr := oracle.results[i], got.results[i]
-				if or == nil || gr == nil {
-					continue
-				}
-				if or.Stats != gr.Stats {
-					t.Errorf("job %d stats differ:\noracle: %+v\nplane:  %+v", i, or.Stats, gr.Stats)
-				}
-				if or.Times != gr.Times {
-					t.Errorf("job %d simulated times differ: %v vs %v", i, or.Times, gr.Times)
-				}
-				if !reflect.DeepEqual(or.StoreBytes, gr.StoreBytes) {
-					t.Errorf("job %d store bytes differ:\noracle: %v\nplane:  %v", i, or.StoreBytes, gr.StoreBytes)
-				}
-				if or.InjectedStoreBytes != gr.InjectedStoreBytes {
-					t.Errorf("job %d injected bytes differ: %d vs %d", i, or.InjectedStoreBytes, gr.InjectedStoreBytes)
+			serial, _, _ := dpRun(t, seed, true)
+			if !reflect.DeepEqual(serial.results, got.results) {
+				for i := range serial.results {
+					if !reflect.DeepEqual(serial.results[i], got.results[i]) {
+						t.Errorf("job %d results differ:\nparallelism 1: %+v\ndrawn:         %+v", i, serial.results[i], got.results[i])
+					}
 				}
 			}
-			for path, want := range oracle.rows {
-				if gotRows := got.rows[path]; strings.Join(gotRows, "\n") != strings.Join(want, "\n") {
-					t.Errorf("%s rows differ:\noracle: %v\nplane:  %v", path, want, gotRows)
-				}
-			}
-			if !bytes.Equal(oracle.export, got.export) {
-				t.Error("DFS export bytes differ between planes")
+			if !bytes.Equal(serial.export, got.export) {
+				t.Error("DFS export bytes differ between parallelism 1 and the drawn parallelism")
 			}
 		})
 	}
@@ -313,38 +290,31 @@ func TestEngineDataPlaneDifferential(t *testing.T) {
 // several map tasks fail, the job error must report every failed task, not
 // whichever error won the race onto a channel.
 func TestEngineMapPhaseCollectsAllErrors(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		name := "parallel"
-		if serial {
-			name = "serial"
+	t.Run("parallel", func(t *testing.T) {
+		e := newTestEngine()
+		seedViews(t, e.FS) // 3 partitions -> 3 map tasks
+		// Corrupt partitions 0 and 2 so two independent tasks fail to
+		// decode their input.
+		for _, part := range []int{0, 2} {
+			if err := e.FS.CommitPartition("data/views", part, []byte{0xff, 0xff, 0xff, 0xff}, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			e := newTestEngine()
-			e.SerialDataPlane = serial
-			seedViews(t, e.FS) // 3 partitions -> 3 map tasks
-			// Corrupt partitions 0 and 2 so two independent tasks fail to
-			// decode their input.
-			for _, part := range []int{0, 2} {
-				if err := e.FS.CommitPartition("data/views", part, []byte{0xff, 0xff, 0xff, 0xff}, 1); err != nil {
-					t.Fatal(err)
-				}
+		p := physical.NewPlan()
+		l := p.Add(&physical.Operator{Kind: physical.OpLoad, Path: "data/views", Schema: viewsSchema()})
+		d := p.Add(&physical.Operator{Kind: physical.OpDistinct, Inputs: []int{l.ID}, Schema: l.Schema})
+		p.Add(&physical.Operator{Kind: physical.OpStore, Path: "out/multierr", Inputs: []int{d.ID}, Schema: d.Schema})
+		_, err := e.RunJob(context.Background(), mustJob(t, "multierr", p))
+		if err == nil {
+			t.Fatal("job over corrupt input succeeded")
+		}
+		for _, want := range []string{"map task 0", "map task 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error missing %q: %v", want, err)
 			}
-			p := physical.NewPlan()
-			l := p.Add(&physical.Operator{Kind: physical.OpLoad, Path: "data/views", Schema: viewsSchema()})
-			d := p.Add(&physical.Operator{Kind: physical.OpDistinct, Inputs: []int{l.ID}, Schema: l.Schema})
-			p.Add(&physical.Operator{Kind: physical.OpStore, Path: "out/multierr", Inputs: []int{d.ID}, Schema: d.Schema})
-			_, err := e.RunJob(context.Background(), mustJob(t, "multierr", p))
-			if err == nil {
-				t.Fatal("job over corrupt input succeeded")
-			}
-			for _, want := range []string{"map task 0", "map task 2"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error missing %q: %v", want, err)
-				}
-			}
-			if strings.Contains(err.Error(), "map task 1") {
-				t.Errorf("healthy task reported as failed: %v", err)
-			}
-		})
-	}
+		}
+		if strings.Contains(err.Error(), "map task 1") {
+			t.Errorf("healthy task reported as failed: %v", err)
+		}
+	})
 }

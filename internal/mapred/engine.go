@@ -24,9 +24,7 @@ import (
 // on their own bounded worker pool. The shuffle order — (key, tag, seq),
 // compiled per job into a jobComparator — is strict (seq is globally
 // unique), so none of that parallelism or the non-stable sorts can change
-// output bytes; SerialDataPlane keeps the one-buffer-per-partition,
-// stable-sort, sequential-reduce implementation around as the differential
-// oracle and benchmark baseline.
+// output bytes.
 type Engine struct {
 	FS      *dfs.FS
 	Cluster *cluster.Config
@@ -40,14 +38,6 @@ type Engine struct {
 	// committed to distinct file partitions), so the pool changes wall
 	// clock only, never output.
 	ReduceParallelism int
-	// SerialDataPlane selects the serial single-sort reference
-	// implementation: one concatenated shuffle buffer per reduce
-	// partition, stable-sorted from scratch with the closure comparator,
-	// reduce partitions executed sequentially, no buffer pooling. The
-	// differential oracle tests pin the default data plane byte-identical
-	// to it, and BenchmarkShuffleKernel/BenchmarkEngineOrderJob measure
-	// the default plane against it.
-	SerialDataPlane bool
 	// DisableCombiner turns off map-side combining of algebraic aggregates
 	// (used by tests to verify the combined and uncombined paths agree).
 	DisableCombiner bool
@@ -235,10 +225,9 @@ func (e *Engine) runner() TaskRunner {
 }
 
 // newJobContext compiles the engine-side JobContext, wiring the engine's
-// data-plane selection, shared run-length hint, and test hooks into it.
+// shared run-length hint and test hooks into it.
 func (e *Engine) newJobContext(job *Job) *JobContext {
 	jc := NewJobContext(job, e.ReduceTasks, !e.DisableCombiner)
-	jc.pooled = !e.SerialDataPlane
 	jc.hint = &e.runHint
 	jc.mapHook = e.mapTaskHook
 	return jc
@@ -334,7 +323,7 @@ func (e *Engine) runMapPhase(ctx context.Context, jc *JobContext, tasks []mapTas
 		res.Stats.InputBytes += mr.InputBytes
 		res.Stats.ShuffleBytes += mr.ShuffleBytes
 	}
-	if jc.pooled && nRuns > 0 {
+	if nRuns > 0 {
 		e.runHint.Store(int64(totalRecs/nRuns + 1))
 	}
 	return byPart, nil
@@ -388,33 +377,15 @@ func blockingKeyInto(dst types.Tuple, b *physical.Operator, tag int, t types.Tup
 }
 
 // runReducePhase runs every reduce partition through the TaskRunner and
-// commits the returned store payloads. On the default plane each partition
-// k-way-merges its pre-sorted map runs and partitions execute on the
-// ReduceParallelism worker pool — partitions are independent (distinct keys,
-// distinct output file partitions), so concurrency changes wall clock only.
-// The serial plane keeps the reference behavior: concatenated buffer, stable
-// single-sort, sequential partitions.
+// commits the returned store payloads. Each partition k-way-merges its
+// pre-sorted map runs, and partitions execute on the ReduceParallelism
+// worker pool — partitions are independent (distinct keys, distinct output
+// file partitions), so concurrency changes wall clock only.
 func (e *Engine) runReducePhase(ctx context.Context, jc *JobContext, byPart [][]RunRef, res *JobResult) error {
 	runner := e.runner()
 	commit := func(r int, rr *ReduceResult) error {
 		for path, sp := range rr.Stores {
 			if err := e.FS.CommitPartition(path, r, sp.Data, sp.Records); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if e.SerialDataPlane {
-		for r := 0; r < jc.ReduceParts; r++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("mapred: job %s: %w", jc.Job.ID, err)
-			}
-			rr, err := runner.RunReducePartition(ctx, jc, r, byPart[r])
-			if err != nil {
-				return err
-			}
-			if err := commit(r, rr); err != nil {
 				return err
 			}
 		}
@@ -454,42 +425,6 @@ func (e *Engine) runReducePhase(ctx context.Context, jc *JobContext, byPart [][]
 		return fmt.Errorf("mapred: job %s: %w", jc.Job.ID, err)
 	}
 	return errors.Join(partErrs...)
-}
-
-// sortShuffle orders records by key (respecting Order's sort directions),
-// then tag, then sequence — the merge-sort Hadoop performs between map and
-// reduce. This is the serial reference plane's from-scratch stable sort;
-// the default plane reaches the same order (the (key, tag, seq) order is
-// strict, making stability vacuous) by merging locally sorted runs with the
-// compiled jobComparator.
-func sortShuffle(b *physical.Operator, recs []shuffleRec) {
-	cmpKey := func(a, bk types.Tuple) int { return types.CompareTuples(a, bk) }
-	if b.Kind == physical.OpOrder {
-		cmpKey = func(x, y types.Tuple) int {
-			for i, sc := range b.SortCols {
-				var c int
-				if i < len(x) && i < len(y) {
-					c = types.Compare(x[i], y[i])
-				}
-				if sc.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		}
-	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		if c := cmpKey(recs[i].key, recs[j].key); c != 0 {
-			return c < 0
-		}
-		if recs[i].tag != recs[j].tag {
-			return recs[i].tag < recs[j].tag
-		}
-		return recs[i].seq < recs[j].seq
-	})
 }
 
 // applyBlocking walks runs of equal keys and emits the blocking operator's
@@ -533,19 +468,29 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 				return err
 			}
 		case physical.OpCoGroup:
-			bags := make([]*types.Bag, len(b.Inputs))
-			for i := range bags {
-				bags[i] = &types.Bag{}
-			}
-			for _, rec := range run {
-				bags[rec.tag].Add(rec.val)
-			}
-			out := types.Tuple{groupValue(b, run[0].key)}
-			for _, bag := range bags {
-				out = append(out, types.NewBag(bag))
-			}
-			if err := emit(out); err != nil {
-				return err
+			// As in Pig, a key holding a null matches no key of another
+			// input: each input's null-keyed records form their own group.
+			for from := 0; from < len(run); {
+				to := len(run)
+				if exec.KeyHasNull(run[from].key) {
+					tag := run[from].tag
+					to = from + sort.Search(len(run)-from, func(i int) bool { return run[from+i].tag > tag })
+				}
+				bags := make([]*types.Bag, len(b.Inputs))
+				for i := range bags {
+					bags[i] = &types.Bag{}
+				}
+				for _, rec := range run[from:to] {
+					bags[rec.tag].Add(rec.val)
+				}
+				out := types.Tuple{groupValue(b, run[from].key)}
+				for _, bag := range bags {
+					out = append(out, types.NewBag(bag))
+				}
+				if err := emit(out); err != nil {
+					return err
+				}
+				from = to
 			}
 		case physical.OpJoin:
 			// Tags are sorted within the run; find the tag boundary.

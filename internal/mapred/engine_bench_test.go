@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -47,11 +48,10 @@ func cloneRuns(src [][]shuffleRec) [][]shuffleRec {
 }
 
 // BenchmarkShuffleKernel measures the reduce-side ordering kernel on
-// identical input: the serial reference (concatenate every run into one
-// buffer, one closure-driven sort.SliceStable) against the default plane
-// (per-run compiled sort + k-way merge into a pooled buffer). This is the
-// code the tentpole replaced; allocs/op is the headline the acceptance
-// criteria pin (>=50% reduction).
+// identical input: the baseline (concatenate every run into one buffer, one
+// sort.SliceStable over the closure-chain referenceCompareRec) against the
+// data plane's kernel (per-run compiled sort + k-way merge into a pooled
+// buffer).
 func BenchmarkShuffleKernel(b *testing.B) {
 	const nRuns, runLen = 8, 4_000
 	base := benchRuns(nRuns, runLen)
@@ -69,7 +69,7 @@ func BenchmarkShuffleKernel(b *testing.B) {
 			for _, r := range runs {
 				buf = append(buf, r...)
 			}
-			sortShuffle(blocking, buf)
+			sort.SliceStable(buf, func(i, j int) bool { return referenceCompareRec(blocking, &buf[i], &buf[j]) < 0 })
 		}
 	})
 
@@ -119,30 +119,23 @@ func benchOrderJob(nRows int) (*dfs.FS, *Job, error) {
 	return fs, j, err
 }
 
-// BenchmarkEngineOrderJob runs the whole shuffle-heavy job end to end on
-// each plane: decode, shuffle, sort/merge, reduce, encode, commit.
+// BenchmarkEngineOrderJob runs the whole shuffle-heavy job end to end:
+// decode, shuffle, sort/merge, reduce, encode, commit.
 func BenchmarkEngineOrderJob(b *testing.B) {
 	const nRows = 60_000
-	for _, serial := range []bool{true, false} {
-		name := "parallel-plane"
-		if serial {
-			name = "serial-plane"
+	b.Run("parallel-plane", func(b *testing.B) {
+		fs, job, err := benchOrderJob(nRows)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			fs, job, err := benchOrderJob(nRows)
-			if err != nil {
+		e := NewEngine(fs, cluster.Default())
+		e.ReduceTasks = 8
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.RunJob(context.Background(), job); err != nil {
 				b.Fatal(err)
 			}
-			e := NewEngine(fs, cluster.Default())
-			e.SerialDataPlane = serial
-			e.ReduceTasks = 8
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunJob(context.Background(), job); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

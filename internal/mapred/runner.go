@@ -30,7 +30,6 @@ type JobContext struct {
 	mapStores    []*physical.Operator
 	reduceStores []*physical.Operator
 	include      map[int]bool // reduce-side pipeline ops (blocking + descendants)
-	pooled       bool         // run/scratch buffer pooling (off on the serial oracle plane)
 	hint         *atomic.Int64
 	mapHook      func(ctx context.Context, taskIdx int) error
 }
@@ -48,7 +47,7 @@ func NewJobContext(job *Job, reduceParts int, combine bool) *JobContext {
 	if b := job.Blocking(); b != nil && (b.Kind == physical.OpOrder || b.Kind == physical.OpLimit) {
 		reduceParts = 1
 	}
-	jc := &JobContext{Job: job, ReduceParts: reduceParts, pooled: true, hint: new(atomic.Int64)}
+	jc := &JobContext{Job: job, ReduceParts: reduceParts, hint: new(atomic.Int64)}
 	if combine {
 		jc.comb = detectCombiner(job)
 	}
@@ -233,16 +232,6 @@ func (lr localRunner) RunMapTask(ctx context.Context, jc *JobContext, spec MapTa
 }
 
 func (lr localRunner) RunReducePartition(ctx context.Context, jc *JobContext, part int, refs []RunRef) (*ReduceResult, error) {
-	if !jc.pooled {
-		// Serial oracle plane: concatenate the unsorted per-task buffers in
-		// task order and stable-sort from scratch, no pooling.
-		var recs []shuffleRec
-		for _, ref := range refs {
-			recs = append(recs, ref.recs...)
-		}
-		sortShuffle(jc.Job.Blocking(), recs)
-		return execReduceBody(jc, part, recs, false)
-	}
 	tr := lr.e.Shuffle
 	if tr == nil {
 		tr = memShuffle{}
@@ -272,20 +261,18 @@ func newShuffleEmitter(jc *JobContext, taskIdx int) *shuffleEmitter {
 		blocking: jc.Job.Blocking(),
 		shuffle:  make([][]shuffleRec, jc.ReduceParts),
 		taskBase: int64(taskIdx) << 32,
+		scratch:  getScratch(),
+		runHint:  int(jc.hint.Load()),
 	}
 	if jc.comb != nil {
 		em.acc = newCombAccumulator(jc.comb)
-	}
-	if jc.pooled {
-		em.scratch = getScratch()
-		em.runHint = int(jc.hint.Load())
 	}
 	return em
 }
 
 func (em *shuffleEmitter) push(r int, rec shuffleRec) {
 	run := em.shuffle[r]
-	if em.jc.pooled && cap(run) == 0 {
+	if cap(run) == 0 {
 		run = getRecSlice(em.runHint)
 	}
 	em.shuffle[r] = append(run, rec)
@@ -321,8 +308,8 @@ func (em *shuffleEmitter) emit(tag int, t types.Tuple) error {
 	return nil
 }
 
-// finish flushes combiner partials, locally sorts every run (default plane),
-// and returns the per-partition RunRefs.
+// finish flushes combiner partials, locally sorts every run, and returns
+// the per-partition RunRefs.
 func (em *shuffleEmitter) finish(taskIdx int) []RunRef {
 	if em.acc != nil {
 		for _, ks := range em.acc.order {
@@ -330,12 +317,10 @@ func (em *shuffleEmitter) finish(taskIdx int) []RunRef {
 			em.collect(0, st.key, st.vals)
 		}
 	}
-	if em.jc.pooled {
-		for r := range em.shuffle {
-			sortRun(em.jc.cmp, em.shuffle[r])
-		}
-		putScratch(em.scratch)
+	for r := range em.shuffle {
+		sortRun(em.jc.cmp, em.shuffle[r])
 	}
+	putScratch(em.scratch)
 	var refs []RunRef
 	for r, run := range em.shuffle {
 		if len(run) == 0 {
@@ -360,10 +345,7 @@ func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types
 	// Wire map-side stores: every task owns one partition of each.
 	outs := make(map[string]*taskOutput, len(jc.mapStores))
 	for _, st := range jc.mapStores {
-		out := &taskOutput{}
-		if jc.pooled {
-			out.scratch = getScratch()
-		}
+		out := &taskOutput{scratch: getScratch()}
 		outs[st.Path] = out
 		if err := pipe.SetOutput(st.ID, func(t types.Tuple) error {
 			out.write(t)
@@ -414,9 +396,7 @@ func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types
 	mr := &MapResult{Stores: make(map[string]StorePart, len(outs)), InputBytes: inputBytes}
 	for path, out := range outs {
 		mr.Stores[path] = StorePart{Data: out.buf, Records: out.records}
-		if jc.pooled {
-			putScratch(out.scratch)
-		}
+		putScratch(out.scratch)
 	}
 	if em != nil {
 		mr.Runs = em.finish(spec.TaskIdx)
@@ -498,7 +478,7 @@ func ExecReducePartition(ctx context.Context, jc *JobContext, part int, refs []R
 		total += len(run)
 	}
 	merged := mergeRuns(jc.cmp, runs, getRecSlice(total))
-	rr, err := execReduceBody(jc, part, merged, true)
+	rr, err := execReduceBody(jc, part, merged)
 	putRecSlice(merged)
 	for _, run := range runs {
 		putRecSlice(run)
@@ -508,17 +488,13 @@ func ExecReducePartition(ctx context.Context, jc *JobContext, part int, refs []R
 
 // execReduceBody executes one reduce partition over its merged, sorted
 // records: pipeline wiring, the blocking operator (or combiner merge), and
-// the per-store output buffers. pooled gates the encode-scratch pooling so
-// the serial oracle plane keeps its reference allocation behavior.
-func execReduceBody(jc *JobContext, part int, recs []shuffleRec, pooled bool) (*ReduceResult, error) {
+// the per-store output buffers.
+func execReduceBody(jc *JobContext, part int, recs []shuffleRec) (*ReduceResult, error) {
 	blocking := jc.Job.Blocking()
 	pipe := exec.NewPipeline(jc.Job.Plan, jc.include)
 	outs := make(map[string]*taskOutput, len(jc.reduceStores))
 	for _, st := range jc.reduceStores {
-		out := &taskOutput{}
-		if pooled {
-			out.scratch = getScratch()
-		}
+		out := &taskOutput{scratch: getScratch()}
 		outs[st.Path] = out
 		if err := pipe.SetOutput(st.ID, func(t types.Tuple) error {
 			out.write(t)
@@ -547,9 +523,7 @@ func execReduceBody(jc *JobContext, part int, recs []shuffleRec, pooled bool) (*
 	rr := &ReduceResult{Stores: make(map[string]StorePart, len(outs))}
 	for path, out := range outs {
 		rr.Stores[path] = StorePart{Data: out.buf, Records: out.records}
-		if pooled {
-			putScratch(out.scratch)
-		}
+		putScratch(out.scratch)
 	}
 	return rr, nil
 }

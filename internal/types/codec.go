@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"strings"
@@ -216,13 +215,87 @@ func (r *Reader) Read() (Tuple, error) {
 }
 
 // HashTuple returns a stable 64-bit hash of the tuple, used to partition
-// shuffle keys across reducers.
-func HashTuple(t Tuple) uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	buf = EncodeTuple(buf, t)
-	h.Write(buf)
-	return h.Sum64()
+// shuffle keys across reducers. It agrees with CompareTuples: tuples that
+// compare equal hash equal, so one reducer sees every record of a key.
+// Numbers hash by value through float64, as Compare orders them — int 3 and
+// float 3.0 hash alike, as do two ints past 2^53 that round to one float64,
+// and -0 hashes as +0 — and a bag hashes as the multiset Compare sees,
+// whatever its tuple order. For strings, and for ints of magnitude at most
+// 2^53, the hash is FNV-1a over the value's EncodeTuple bytes.
+func HashTuple(t Tuple) uint64 { return hashTuple(fnvOffset, t) }
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func hashTuple(h uint64, t Tuple) uint64 {
+	h = hashUvarint(h, uint64(len(t)))
+	for i := range t {
+		h = hashValue(h, &t[i])
+	}
+	return h
+}
+
+// hashValue feeds one value into h in its encoded layout, except that
+// numbers are first brought to one form per Compare-equal class: an integral
+// float64 within ±2^53 hashes as that int, anything else as float bits.
+func hashValue(h uint64, v *Value) uint64 {
+	switch v.kind {
+	case KindInt, KindFloat:
+		f, _ := v.AsFloat()
+		if f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+			return hashVarint(hashByte(h, byte(KindInt)), int64(f))
+		}
+		return hashUint64(hashByte(h, byte(KindFloat)), math.Float64bits(f))
+	case KindBool:
+		var b byte
+		if v.b {
+			b = 1
+		}
+		return hashByte(hashByte(h, byte(KindBool)), b)
+	case KindString:
+		h = hashUvarint(hashByte(h, byte(KindString)), uint64(len(v.s)))
+		for i := 0; i < len(v.s); i++ {
+			h = hashByte(h, v.s[i])
+		}
+		return h
+	case KindTuple:
+		return hashTuple(hashByte(h, byte(KindTuple)), v.t)
+	case KindBag:
+		// Summing per-tuple hashes makes the bag's hash order-free.
+		var sum uint64
+		for _, t := range v.bag.Tuples {
+			sum += hashTuple(fnvOffset, t)
+		}
+		h = hashUvarint(hashByte(h, byte(KindBag)), uint64(len(v.bag.Tuples)))
+		return hashUint64(h, sum)
+	default:
+		return hashByte(h, byte(v.kind))
+	}
+}
+
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+func hashUvarint(h, x uint64) uint64 {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], x)
+	for _, b := range buf[:n] {
+		h = hashByte(h, b)
+	}
+	return h
+}
+
+// hashVarint feeds x zigzag-encoded, as binary.PutVarint lays it out.
+func hashVarint(h uint64, x int64) uint64 { return hashUvarint(h, uint64(x<<1)^uint64(x>>63)) }
+
+// hashUint64 feeds x big-endian, the float payload's encoded byte order.
+func hashUint64(h, x uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = hashByte(h, byte(x>>uint(shift)))
+	}
+	return h
 }
 
 // FormatTSV renders a tuple as a tab-separated line (the human-readable

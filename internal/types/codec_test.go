@@ -2,7 +2,9 @@ package types
 
 import (
 	"bytes"
+	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,6 +118,115 @@ func TestHashTupleStable(t *testing.T) {
 	c := Tuple{NewString("user2"), NewInt(7)}
 	if HashTuple(a) == HashTuple(c) {
 		t.Error("different tuples should (almost surely) hash differently")
+	}
+}
+
+// numericTwin returns a value Compare calls equal to v but built
+// differently wherever that is possible: ints become floats and integral
+// floats within int64 range become ints, zero flips its sign, and bags are
+// reversed; the rule recurses into tuples and bags.
+func numericTwin(v Value) Value {
+	switch v.kind {
+	case KindInt:
+		return NewFloat(float64(v.i))
+	case KindFloat:
+		if v.f == 0 {
+			return NewFloat(math.Copysign(0, -math.Copysign(1, v.f)))
+		}
+		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1<<62 {
+			return NewInt(int64(v.f))
+		}
+		return v
+	case KindTuple:
+		return NewTuple(tupleTwin(v.t))
+	case KindBag:
+		out := &Bag{}
+		for i := len(v.bag.Tuples) - 1; i >= 0; i-- {
+			out.Add(tupleTwin(v.bag.Tuples[i]))
+		}
+		return NewBag(out)
+	default:
+		return v
+	}
+}
+
+func tupleTwin(t Tuple) Tuple {
+	out := make(Tuple, len(t))
+	for i, v := range t {
+		out[i] = numericTwin(v)
+	}
+	return out
+}
+
+// TestHashAgreesWithCompareProperty: CompareTuples(a, b) == 0 implies
+// HashTuple(a) == HashTuple(b). Pairs are a random tuple and its numeric
+// twin (int 3 vs float 3.0, ints past 2^53 vs their float64, -0 vs +0, a
+// reordered bag), plus independent draws that happen to compare equal.
+// randomValue never draws NaN, which Compare does not order.
+func TestHashAgreesWithCompareProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := randomTuple(r, 3)
+		if r.Intn(2) == 0 {
+			// Small integral values, so twins exercise the exact-int path.
+			a = append(a, NewInt(int64(r.Intn(7)-3)), NewFloat(float64(r.Intn(7)-3)))
+		}
+		b := tupleTwin(a)
+		if CompareTuples(a, b) != 0 {
+			t.Errorf("twin compares unequal: %v vs %v", a, b)
+			return false
+		}
+		if HashTuple(a) != HashTuple(b) {
+			t.Errorf("equal tuples hash apart: %v vs %v", a, b)
+			return false
+		}
+		c := randomTuple(r, 1)
+		return CompareTuples(a, c) != 0 || HashTuple(a) == HashTuple(c)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, pair := range [][2]Tuple{
+		{{NewInt(3)}, {NewFloat(3)}},
+		{{NewFloat(0)}, {NewFloat(math.Copysign(0, -1))}},
+		{{NewInt(1<<53 + 1)}, {NewInt(1 << 53)}},
+		{{NewInt(1<<62 + 1)}, {NewFloat(1 << 62)}},
+		{{NewTuple(Tuple{NewInt(-7), NewString("x")})}, {NewTuple(Tuple{NewFloat(-7), NewString("x")})}},
+		{{NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {NewInt(2)}}})}, {NewBag(&Bag{Tuples: []Tuple{{NewFloat(2)}, {NewInt(1)}}})}},
+	} {
+		if CompareTuples(pair[0], pair[1]) != 0 || HashTuple(pair[0]) != HashTuple(pair[1]) {
+			t.Errorf("%v and %v: compare %d, hashes %x %x", pair[0], pair[1],
+				CompareTuples(pair[0], pair[1]), HashTuple(pair[0]), HashTuple(pair[1]))
+		}
+	}
+}
+
+// TestHashTupleKeepsEncodedHash pins the partition assignment of every key
+// without doubles or bags: strings, bools, nulls and ints within ±2^53 hash
+// to FNV-1a over their EncodeTuple bytes, as before numbers hashed by value.
+func TestHashTupleKeepsEncodedHash(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		var tu Tuple
+		for j := r.Intn(4); j >= 0; j-- {
+			switch r.Intn(5) {
+			case 0:
+				tu = append(tu, NewInt(r.Int63n(1<<54)-1<<53))
+			case 1:
+				tu = append(tu, NewString(string(rune('a'+r.Intn(26)))))
+			case 2:
+				tu = append(tu, Null())
+			case 3:
+				tu = append(tu, NewBool(r.Intn(2) == 0))
+			default:
+				tu = append(tu, NewTuple(Tuple{NewInt(int64(r.Intn(100))), NewString("n")}))
+			}
+		}
+		h := fnv.New64a()
+		h.Write(EncodeTuple(nil, tu))
+		if got, want := HashTuple(tu), h.Sum64(); got != want {
+			t.Fatalf("HashTuple(%v) = %x, want FNV-1a of its encoding %x", tu, got, want)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package restore
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // Differential oracle battery for the sharded execution core: a system built
@@ -19,69 +19,46 @@ import (
 // repository entries with the same usage counters, the same reuse and
 // eviction statistics, and the same per-query rewrite/evict decisions.
 
-// seedShardNamespaces loads identical fact/dim tables into nss disjoint
-// top-level namespaces (ns0/..., ns1/..., ...). Distinct top-level segments
-// have distinct shard roots, so single-namespace queries land on one shard
-// and cross-namespace joins span two.
-func seedShardNamespaces(t *testing.T, s *System, seed int64, nss int) {
+// shardTables returns nss table sets, one per top-level namespace
+// (ns0/..., ns1/..., ...). Distinct top-level segments have distinct shard
+// roots, so a query over one namespace lands on one shard and a query over
+// two spans both.
+func shardTables(seed int64, nss int) [][]oracle.Table {
+	out := make([][]oracle.Table, nss)
+	for ns := range out {
+		out[ns] = oracle.Tables(seed*1009+int64(ns), fmt.Sprintf("ns%d", ns))
+	}
+	return out
+}
+
+// loadTables writes table sets into a system's DFS.
+func loadTables(t testing.TB, s *System, sets ...[]oracle.Table) {
 	t.Helper()
-	for ns := 0; ns < nss; ns++ {
-		rng := rand.New(rand.NewSource(seed*1009 + int64(ns)))
-		var facts, dims []string
-		for i := 0; i < 200; i++ {
-			facts = append(facts, fmt.Sprintf("k%02d\t%d\t%d\tv%d",
-				rng.Intn(20), rng.Intn(100), rng.Intn(10), rng.Intn(5)))
-		}
-		for i := 0; i < 20; i++ {
-			dims = append(dims, fmt.Sprintf("k%02d\tname%d", i, i))
-		}
-		if err := s.LoadTSV(fmt.Sprintf("ns%d/facts", ns), "k, a:int, b:int, c", facts, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LoadTSV(fmt.Sprintf("ns%d/dims", ns), "k, label", dims, 2); err != nil {
+	for _, tables := range sets {
+		if err := oracle.Load(s.FS(), tables); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// randomShardQuery builds a random pipeline over namespace ns, sometimes
-// joining a second namespace (a cross-shard access set on the sharded
-// system). idx keys the output path; reuse comes from the small operator
-// space repeating sub-plans across queries.
-func randomShardQuery(rng *rand.Rand, ns, other, idx int) (src, out string) {
-	out = fmt.Sprintf("out/ns%d/q%d", ns, idx)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "F = load 'ns%d/facts' as (k, a:int, b:int, c);\n", ns)
-	cur := "F"
-	steps := 1 + rng.Intn(2)
-	for i := 0; i < steps; i++ {
-		next := fmt.Sprintf("S%d", i)
-		switch rng.Intn(3) {
-		case 0:
-			fmt.Fprintf(&sb, "%s = filter %s by a > %d;\n", next, cur, 10+10*rng.Intn(6))
-		case 1:
-			fmt.Fprintf(&sb, "%s = foreach %s generate k, a, b, c;\n", next, cur)
-		case 2:
-			fmt.Fprintf(&sb, "%s = distinct %s;\n", next, cur)
-		}
-		cur = next
+// oracleRows runs a script on the oracle and returns what out receives.
+func oracleRows(t testing.TB, src, out string, tables []oracle.Table) oracle.Output {
+	t.Helper()
+	res, err := oracle.Run(src, tables)
+	if err != nil {
+		t.Fatalf("oracle: %v\n%s", err, src)
 	}
-	switch rng.Intn(3) {
-	case 0:
-		fmt.Fprintf(&sb, "G = group %s by k;\nR = foreach G generate group, COUNT(%s), SUM(%s.a);\n", cur, cur, cur)
-		cur = "R"
-	case 1:
-		// Cross-namespace join: the access set spans two shard roots, so
-		// the sharded system must take a multi-shard lease.
-		fmt.Fprintf(&sb, "D = load 'ns%d/dims' as (k, label);\n", other)
-		fmt.Fprintf(&sb, "J = join D by k, %s by k;\n", cur)
-		cur = "J"
-	case 2:
-		fmt.Fprintf(&sb, "O = order %s by a desc, k;\n", cur)
-		cur = "O"
+	return res[out]
+}
+
+// checkRows reads one output of a result and checks it against the oracle.
+func checkRows(t testing.TB, s *System, res *Result, out string, want oracle.Output) error {
+	t.Helper()
+	rows, err := s.ReadOutput(res, out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fmt.Fprintf(&sb, "store %s into '%s';\n", cur, out)
-	return sb.String(), out
+	return oracle.Diff(want, rows)
 }
 
 // exportAll captures a system's full durable state (repository JSON + DFS
@@ -96,11 +73,12 @@ func exportAll(t *testing.T, s *System) []byte {
 }
 
 // TestShardDifferentialOracle runs seeded mixed conflict/disjoint workloads
-// through a sharded system and the single-domain oracle in the same order,
-// with an evicting policy and interleaved full-GC passes. Every observable
-// must match: per-query rewrite
-// and eviction decisions, output rows, reuse statistics, and finally the
-// byte-identical repository+DFS state.
+// through a sharded system and the single-domain one in the same order,
+// with an evicting policy and interleaved full-GC passes. The scripts come
+// from the oracle's generator over four namespaces, so some join or union
+// across shards. Every observable must match: per-query rewrite and
+// eviction decisions, reuse statistics, and finally the byte-identical
+// repository+DFS state; and both systems' rows must equal the oracle's.
 func TestShardDifferentialOracle(t *testing.T) {
 	const (
 		seeds   = 3
@@ -111,7 +89,7 @@ func TestShardDifferentialOracle(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			oracle := New(WithPolicy(policy))
+			single := New(WithPolicy(policy))
 			sharded := New(WithPolicy(policy), WithShards(nss))
 			if got := sharded.Shards(); got != nss {
 				t.Fatalf("Shards() = %d, want %d", got, nss)
@@ -119,17 +97,22 @@ func TestShardDifferentialOracle(t *testing.T) {
 			if got := sharded.FS().NumShards(); got != nss {
 				t.Fatalf("FS().NumShards() = %d, want %d", got, nss)
 			}
-			seedShardNamespaces(t, oracle, seed, nss)
-			seedShardNamespaces(t, sharded, seed, nss)
+			sets := shardTables(seed, nss)
+			var tables []oracle.Table
+			for _, set := range sets {
+				tables = append(tables, set...)
+			}
+			loadTables(t, single, tables)
+			loadTables(t, sharded, tables)
 
-			rng := rand.New(rand.NewSource(seed))
+			gen := oracle.NewGen(seed, tables)
 			for q := 0; q < queries; q++ {
-				ns := rng.Intn(nss)
-				other := rng.Intn(nss)
-				src, out := randomShardQuery(rng, ns, other, q)
-				resO, err := oracle.Execute(src)
+				out := fmt.Sprintf("out/q%d", q)
+				src := gen.Script(out)
+				want := oracleRows(t, src, out, tables)
+				resO, err := single.Execute(src)
 				if err != nil {
-					t.Fatalf("oracle exec q%d:\n%s\n%v", q, src, err)
+					t.Fatalf("single exec q%d:\n%s\n%v", q, src, err)
 				}
 				resS, err := sharded.Execute(src)
 				if err != nil {
@@ -139,40 +122,35 @@ func TestShardDifferentialOracle(t *testing.T) {
 				// the same entries, the same entries evicted, in the same
 				// order.
 				if !reflect.DeepEqual(resO.Rewrites, resS.Rewrites) {
-					t.Fatalf("q%d rewrite decisions diverged:\noracle %v\nsharded %v\nquery:\n%s",
+					t.Fatalf("q%d rewrite decisions diverged:\nsingle %v\nsharded %v\nquery:\n%s",
 						q, resO.Rewrites, resS.Rewrites, src)
 				}
 				if !reflect.DeepEqual(resO.Evicted, resS.Evicted) {
-					t.Fatalf("q%d eviction decisions diverged:\noracle %v\nsharded %v",
+					t.Fatalf("q%d eviction decisions diverged:\nsingle %v\nsharded %v",
 						q, resO.Evicted, resS.Evicted)
 				}
-				rowsO, err := oracle.ReadOutputTSV(resO, out)
-				if err != nil {
-					t.Fatal(err)
+				if err := checkRows(t, single, resO, out, want); err != nil {
+					t.Fatalf("q%d single rows: %v\n%s", q, err, src)
 				}
-				rowsS, err := sharded.ReadOutputTSV(resS, out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strings.Join(rowsO, "\n") != strings.Join(rowsS, "\n") {
-					t.Fatalf("q%d rows diverged: oracle %d rows, sharded %d rows", q, len(rowsO), len(rowsS))
+				if err := checkRows(t, sharded, resS, out, want); err != nil {
+					t.Fatalf("q%d sharded rows: %v\n%s", q, err, src)
 				}
 				// Interleave full-GC passes (the cross-shard reference path)
 				// mid-stream, same points on both systems.
 				if q%7 == 6 {
-					repO := oracle.CollectGarbage()
+					repO := single.CollectGarbage()
 					repS := sharded.CollectGarbage()
 					if !reflect.DeepEqual(repO.Evicted, repS.Evicted) || !reflect.DeepEqual(repO.Retired, repS.Retired) {
-						t.Fatalf("q%d full GC diverged:\noracle %+v\nsharded %+v", q, repO, repS)
+						t.Fatalf("q%d full GC diverged:\nsingle %+v\nsharded %+v", q, repO, repS)
 					}
 				}
 			}
 
-			if !reflect.DeepEqual(oracle.Stats(), sharded.Stats()) {
-				t.Fatalf("reuse statistics diverged:\noracle  %+v\nsharded %+v", oracle.Stats(), sharded.Stats())
+			if !reflect.DeepEqual(single.Stats(), sharded.Stats()) {
+				t.Fatalf("reuse statistics diverged:\nsingle  %+v\nsharded %+v", single.Stats(), sharded.Stats())
 			}
-			if got, want := exportAll(t, sharded), exportAll(t, oracle); !bytes.Equal(want, got) {
-				t.Fatalf("final state diverged: oracle %d bytes, sharded %d bytes", len(want), len(got))
+			if got, want := exportAll(t, sharded), exportAll(t, single); !bytes.Equal(want, got) {
+				t.Fatalf("final state diverged: single %d bytes, sharded %d bytes", len(want), len(got))
 			}
 		})
 	}
@@ -181,56 +159,54 @@ func TestShardDifferentialOracle(t *testing.T) {
 // TestShardDifferentialConcurrent runs one goroutine per namespace against
 // the sharded system — every query disjoint across goroutines, ordered
 // within one — and the same per-namespace sequences sequentially on the
-// oracle. Row-level results and per-namespace reuse must match: shard
-// concurrency may interleave version numbers and entry IDs, but never
-// change what any query computes or whether it reuses. Run under -race this
-// is the shard-isolation proof.
+// single-domain system. Rows must equal the oracle's on both, and
+// per-namespace reuse must match: shard concurrency may interleave version
+// numbers and entry IDs, but never change what any query computes or
+// whether it reuses. Run under -race this is the shard-isolation proof.
 func TestShardDifferentialConcurrent(t *testing.T) {
 	const (
 		nss     = 4
 		queries = 10
 	)
-	oracle := New()
+	single := New()
 	sharded := New(WithShards(nss))
-	seedShardNamespaces(t, oracle, 42, nss)
-	seedShardNamespaces(t, sharded, 42, nss)
+	sets := shardTables(42, nss)
+	loadTables(t, single, sets...)
+	loadTables(t, sharded, sets...)
 
 	// Pre-generate every namespace's queries so both systems see the exact
-	// same scripts. No cross-namespace joins here: goroutines must stay
-	// disjoint for order within a namespace to determine reuse.
+	// same scripts. Each generator sees one namespace's tables: goroutines
+	// must stay disjoint for order within a namespace to determine reuse.
 	scripts := make([][]string, nss)
 	outs := make([][]string, nss)
+	wants := make([][]oracle.Output, nss)
 	for ns := 0; ns < nss; ns++ {
-		rng := rand.New(rand.NewSource(int64(1000 + ns)))
+		gen := oracle.NewGen(int64(1000+ns), sets[ns])
 		for q := 0; q < queries; q++ {
-			src, out := randomShardQuery(rng, ns, ns, ns*queries+q)
+			out := fmt.Sprintf("out/ns%d/q%d", ns, q)
+			src := gen.Script(out)
 			scripts[ns] = append(scripts[ns], src)
 			outs[ns] = append(outs[ns], out)
+			wants[ns] = append(wants[ns], oracleRows(t, src, out, sets[ns]))
 		}
 	}
 
-	oracleRows := make([]map[string][]string, nss)
 	for ns := 0; ns < nss; ns++ {
-		oracleRows[ns] = map[string][]string{}
 		for q, src := range scripts[ns] {
-			res, err := oracle.Execute(src)
+			res, err := single.Execute(src)
 			if err != nil {
-				t.Fatalf("oracle ns%d q%d: %v", ns, q, err)
+				t.Fatalf("single ns%d q%d: %v", ns, q, err)
 			}
-			rows, err := oracle.ReadOutputTSV(res, outs[ns][q])
-			if err != nil {
-				t.Fatal(err)
+			if err := checkRows(t, single, res, outs[ns][q], wants[ns][q]); err != nil {
+				t.Errorf("single ns%d q%d: %v\n%s", ns, q, err, src)
 			}
-			oracleRows[ns][outs[ns][q]] = rows
 		}
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, nss)
-	shardedRows := make([]map[string][]string, nss)
+	errs := make(chan error, nss*queries)
 	for ns := 0; ns < nss; ns++ {
 		ns := ns
-		shardedRows[ns] = map[string][]string{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -240,34 +216,28 @@ func TestShardDifferentialConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("sharded ns%d q%d: %w", ns, q, err)
 					return
 				}
-				rows, err := sharded.ReadOutputTSV(res, outs[ns][q])
+				rows, err := sharded.ReadOutput(res, outs[ns][q])
+				if err == nil {
+					err = oracle.Diff(wants[ns][q], rows)
+				}
 				if err != nil {
 					errs <- fmt.Errorf("sharded ns%d q%d rows: %w", ns, q, err)
-					return
 				}
-				shardedRows[ns][outs[ns][q]] = rows
 			}
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Error(err)
 	}
 
-	for ns := 0; ns < nss; ns++ {
-		for out, want := range oracleRows[ns] {
-			if got := shardedRows[ns][out]; strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("ns%d %s: concurrent sharded rows diverged (%d vs %d rows)", ns, out, len(got), len(want))
-			}
-		}
-	}
 	// Reuse totals: order within each namespace is preserved and namespaces
 	// are disjoint, so hits cannot depend on the cross-namespace schedule.
-	so, ss := oracle.Stats(), sharded.Stats()
+	so, ss := single.Stats(), sharded.Stats()
 	if so.Queries != ss.Queries || so.QueriesReused != ss.QueriesReused ||
 		so.WholeJobReuses != ss.WholeJobReuses || so.SubJobReuses != ss.SubJobReuses {
-		t.Errorf("concurrent sharded reuse diverged:\noracle  queries=%d reused=%d whole=%d sub=%d\nsharded queries=%d reused=%d whole=%d sub=%d",
+		t.Errorf("concurrent sharded reuse diverged:\nsingle  queries=%d reused=%d whole=%d sub=%d\nsharded queries=%d reused=%d whole=%d sub=%d",
 			so.Queries, so.QueriesReused, so.WholeJobReuses, so.SubJobReuses,
 			ss.Queries, ss.QueriesReused, ss.WholeJobReuses, ss.SubJobReuses)
 	}

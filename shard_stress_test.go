@@ -3,10 +3,11 @@ package restore
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // TestShardBarrierStress storms a sharded system from three sides at once:
@@ -28,17 +29,18 @@ func TestShardBarrierStress(t *testing.T) {
 		querySet = 6
 	)
 	sys := New(WithPolicy(Policy{KeepAll: true, CheckInputVersions: true, EvictionWindow: 15}), WithShards(shards))
-	seedShardNamespaces(t, sys, 99, nss)
+	sets := shardTables(99, nss)
+	loadTables(t, sys, sets...)
 
 	// A small rotating query set per namespace: repeats force reuse hits,
-	// rotation forces registrations and (with the window) evictions, and a
-	// cross-namespace join every few rounds forces multi-shard leases.
+	// rotation forces registrations and (with the window) evictions, and
+	// scripts drawn over a second namespace's tables as well force
+	// multi-shard leases.
 	queryFor := func(ns, round int) string {
 		idx := round % querySet
 		other := (ns + 1 + round%(nss-1)) % nss
-		rng := rand.New(rand.NewSource(int64(ns*1000 + idx)))
-		src, _ := randomShardQuery(rng, ns, other, ns*querySet+idx)
-		return src
+		gen := oracle.NewGen(int64(ns*1000+idx), append(append([]oracle.Table(nil), sets[ns]...), sets[other]...))
+		return gen.Script(fmt.Sprintf("out/ns%d/q%d", ns, ns*querySet+idx))
 	}
 
 	var failures atomic.Int64
