@@ -42,8 +42,9 @@ flake:
 # Not part of check: tier-1 runs only the checked-in corpora.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
-	FuzzParse:./internal/piglatin FuzzShardKey:./internal/shardkey \
-	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred
+	FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
+	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred \
+	FuzzLoadRepository:./internal/core
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -76,12 +77,13 @@ bench-selftest:
 # warm, hot} x {PrepareCached, Prepare}; the shard differential (the sharded
 # system makes the single-domain one's decisions and leaves its
 # byte-identical state, with the oracle's rows); int and double keys meeting
-# at any partition count; the cross-shard barrier stress storm; and the
-# shard-key unit/fuzz corpus. Runs twice under the detector: the concurrent
-# phases' interleavings differ per run.
+# at any partition count; the universal-barrier stress storm; and the DFS
+# routing tests (the golden pinning which shard, and so which WAL stream,
+# owns each path) with their fuzz corpus. Runs twice under the detector: the
+# concurrent phases' interleavings differ per run.
 race-shard:
 	$(GO) test -race -count=2 -run 'TestOracleBattery|TestNumericKeys|TestShard|TestUniversalBarrier' .
-	$(GO) test -race -count=2 ./internal/shardkey/...
+	$(GO) test -race -count=2 -run 'TestRoutingGolden|TestRootDepthRule|TestIndexStableAndBounded|TestSubtreeColocates|TestShardLocks|FuzzShardKey' ./internal/dfs
 
 # The engine data-plane battery: every job's rows equal internal/oracle's
 # exactly (kinds, bag order, which of two equal keys), and the drawn map and

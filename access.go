@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/shardkey"
 )
 
 // This file implements the concurrency substrate that lets path-disjoint
@@ -134,6 +133,9 @@ type leaseTable struct {
 	mu       sync.Mutex
 	waiting  []*execLease
 	inflight map[*execLease]struct{}
+	// obs records admission waits and queue/in-flight gauges. Set via
+	// System.SetObserver before traffic.
+	obs *obs.Registry
 }
 
 // acquire blocks until the access set can be admitted and returns the
@@ -141,6 +143,15 @@ type leaseTable struct {
 // callers sharing one set across goroutines (Prepared.Access) rely on
 // acquire treating it as read-only.
 func (lt *leaseTable) acquire(a AccessSet) *execLease {
+	start := time.Now()
+	lt.obs.LeaseQueued(1)
+	if a.Universal {
+		// Universal barriers (checkpoints, repository swaps) stall until the
+		// whole system drains; surfacing how many are stalled — and for how
+		// long, via the lease-wait histogram — is the signal that tells an
+		// operator compaction cadence is fighting live traffic.
+		lt.obs.UniversalQueued(1)
+	}
 	l := &execLease{access: a, ready: make(chan struct{})}
 	lt.mu.Lock()
 	if lt.inflight == nil {
@@ -150,6 +161,12 @@ func (lt *leaseTable) acquire(a AccessSet) *execLease {
 	lt.promote()
 	lt.mu.Unlock()
 	<-l.ready
+	lt.obs.LeaseQueued(-1)
+	if a.Universal {
+		lt.obs.UniversalQueued(-1)
+	}
+	lt.obs.LeaseAdmitted(1)
+	lt.obs.ObserveLeaseWait(time.Since(start))
 	return l
 }
 
@@ -159,6 +176,7 @@ func (lt *leaseTable) release(l *execLease) {
 	delete(lt.inflight, l)
 	lt.promote()
 	lt.mu.Unlock()
+	lt.obs.LeaseAdmitted(-1)
 }
 
 // promote grants eligible waiters in FIFO order. Called with mu held.
@@ -213,161 +231,10 @@ func (lt *leaseTable) extendReads(l *execLease, path string) bool {
 	return true
 }
 
-// insertRead installs a fresh read-only single-path lease directly into the
-// in-flight set, bypassing the queue — the sharded extendReads uses it when
-// a held lease extends into a table it was not registered in. Like
-// extendReads, it checks only in-flight leases (waiters are passed, exactly
-// as a same-table extension would pass them) and refuses when any in-flight
-// writer conflicts.
-func (lt *leaseTable) insertRead(path string) (*execLease, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	probe := AccessSet{Reads: []string{path}}
-	for f := range lt.inflight {
-		if probe.ConflictsWith(f.access) {
-			return nil, false
-		}
-	}
-	if lt.inflight == nil {
-		lt.inflight = make(map[*execLease]struct{})
-	}
-	l := &execLease{access: probe, ready: make(chan struct{})}
-	close(l.ready)
-	lt.inflight[l] = struct{}{}
-	return l, true
-}
-
 // inflightCount reports how many leases are currently held (tests and
 // metrics).
 func (lt *leaseTable) inflightCount() int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	return len(lt.inflight)
-}
-
-// heldLease is one logical admission granted by shardedLeases: the declared
-// set plus the per-table leases that realize it. parts[i] is held in table
-// shards[i]; shards is ascending for the parts taken at acquire time
-// (extensions may append out of order — release order is irrelevant, only
-// blocking acquisition must be ordered).
-type heldLease struct {
-	access AccessSet
-	shards []int
-	parts  []*execLease
-}
-
-// shardedLeases splits the lease table by shard key: an access set
-// registers (its full declared set) in exactly the tables shardkey.Shards
-// derives from its paths, so disjoint queries routed to different shards
-// are admitted without ever touching the same mutex. Universal sets — and
-// sets containing a shallow path, whose prefix scope spans shard roots —
-// become the cross-shard barrier: they acquire every table, always in
-// ascending index order (as does any multi-table set), so two barriers or a
-// barrier and a multi-shard query can never deadlock.
-//
-// Conflict detection stays exact: shardkey guarantees any two conflicting
-// paths either share a deep root (same table sees both sets) or one side is
-// shallow (its barrier visits every table). Within a shared table the usual
-// path-overlap check applies, so two sets that merely share a table but not
-// paths still run concurrently. All leaseTable guarantees (FIFO fairness,
-// drain-barrier universals, non-racing extendReads) are preserved per
-// table; a single-table shardedLeases is behaviorally identical to the bare
-// leaseTable and serves as the differential oracle.
-type shardedLeases struct {
-	tables []leaseTable
-	// obs records admission waits and queue/in-flight gauges once per
-	// logical acquire. Set via System.SetObserver before traffic.
-	obs *obs.Registry
-}
-
-// newShardedLeases returns a lease domain with n independently locked
-// tables (n < 1 is clamped to 1).
-func newShardedLeases(n int) *shardedLeases {
-	if n < 1 {
-		n = 1
-	}
-	return &shardedLeases{tables: make([]leaseTable, n)}
-}
-
-// leasePaths collects the declared paths of a set into a fresh slice (the
-// caller's slices are shared read-only and must not be appended to).
-func leasePaths(a AccessSet) []string {
-	out := make([]string, 0, len(a.Reads)+len(a.Writes))
-	out = append(out, a.Reads...)
-	return append(out, a.Writes...)
-}
-
-// acquire blocks until the access set is admitted in every table its paths
-// route to and returns the logical lease. Tables are acquired in ascending
-// index order; the caller must release the result.
-func (sl *shardedLeases) acquire(a AccessSet) *heldLease {
-	start := time.Now()
-	shards, _ := shardkey.Shards(leasePaths(a), a.Universal, len(sl.tables))
-	sl.obs.LeaseQueued(1)
-	if a.Universal {
-		// Universal barriers (checkpoints, repository swaps) stall until the
-		// whole system drains; surfacing how many are stalled — and for how
-		// long, via the lease-wait histogram — is the signal that tells an
-		// operator compaction cadence is fighting live traffic.
-		sl.obs.UniversalQueued(1)
-	}
-	h := &heldLease{access: a, shards: shards, parts: make([]*execLease, 0, len(shards))}
-	for _, si := range shards {
-		h.parts = append(h.parts, sl.tables[si].acquire(a))
-	}
-	sl.obs.LeaseQueued(-1)
-	if a.Universal {
-		sl.obs.UniversalQueued(-1)
-	}
-	sl.obs.LeaseAdmitted(1)
-	sl.obs.ObserveLeaseWait(time.Since(start))
-	return h
-}
-
-// release returns every table's part (reverse acquisition order) and admits
-// now-eligible waiters.
-func (sl *shardedLeases) release(h *heldLease) {
-	for i := len(h.parts) - 1; i >= 0; i-- {
-		sl.tables[h.shards[i]].release(h.parts[i])
-	}
-	sl.obs.LeaseAdmitted(-1)
-}
-
-// extendReads adds path to the held lease's coverage mid-run (see
-// leaseTable.extendReads for the contract). The path's home table is where
-// any conflicting writer must be registered — deep conflicting paths share
-// its root's table, shallow writers barrier into every table — so the
-// extension registers there: extending the existing part when the lease
-// holds one, or inserting a fresh read-only lease otherwise. A shallow path
-// (multi-root prefix scope) cannot be covered by one table, so it is
-// refused and the caller skips that reuse — except at one table, where
-// routing is trivially total.
-func (sl *shardedLeases) extendReads(h *heldLease, path string) bool {
-	n := len(sl.tables)
-	if _, deep := shardkey.Root(path); !deep && n > 1 {
-		return false
-	}
-	t := shardkey.Index(path, n)
-	for i, si := range h.shards {
-		if si == t {
-			return sl.tables[t].extendReads(h.parts[i], path)
-		}
-	}
-	part, ok := sl.tables[t].insertRead(path)
-	if !ok {
-		return false
-	}
-	h.shards = append(h.shards, t)
-	h.parts = append(h.parts, part)
-	return true
-}
-
-// inflightCount reports how many per-table leases are currently held,
-// summed over tables (tests and metrics; a k-table logical lease counts k).
-func (sl *shardedLeases) inflightCount() int {
-	n := 0
-	for i := range sl.tables {
-		n += sl.tables[i].inflightCount()
-	}
-	return n
 }

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/shardkey"
 )
 
 func TestPathsConflict(t *testing.T) {
@@ -95,45 +93,6 @@ func TestLeaseTableDisjointConcurrency(t *testing.T) {
 	}
 }
 
-// TestShardedLeasesTablesAreIndependent is the same claim for the sharded
-// domain, without a clock: while the test holds one table's mutex, an acquire
-// routed to another table is granted, and one routed to the held table is not
-// until the mutex is released.
-func TestShardedLeasesTablesAreIndependent(t *testing.T) {
-	const n = 4
-	sl := newShardedLeases(n)
-	heldTable := shardkey.Index("held/out", n)
-	free := ""
-	for i := 0; free == ""; i++ {
-		if p := fmt.Sprintf("free%d/out", i); shardkey.Index(p, n) != heldTable {
-			free = p
-		}
-	}
-	acquire := func(path string) <-chan *heldLease {
-		got := make(chan *heldLease, 1)
-		go func() { got <- sl.acquire(AccessSet{Writes: []string{path}}) }()
-		return got
-	}
-	mu := &sl.tables[heldTable].mu
-	mu.Lock()
-	heldGot := acquire("held/out")
-	select {
-	case h := <-acquire(free):
-		sl.release(h)
-	case <-time.After(10 * time.Second):
-		mu.Unlock()
-		t.Fatal("an acquire routed to another table waited on the held table's mutex")
-	}
-	select {
-	case <-heldGot:
-		mu.Unlock()
-		t.Fatal("an acquire routed to the held table was granted under its mutex")
-	default:
-	}
-	mu.Unlock()
-	sl.release(<-heldGot)
-}
-
 // TestLeaseTableExtendReads covers the mid-run read extension the rewriter
 // uses for user-named stored outputs: it must fail while a conflicting
 // writer is in flight, succeed otherwise, and once granted make later
@@ -208,15 +167,11 @@ func TestLeaseTableUniversalDrains(t *testing.T) {
 
 // The admission rules, one test each. The lease table is the only admission
 // controller in the repository (the daemon's scheduler only counts slots),
-// so these are the tests of the rule. Each runs against the bare leaseTable
-// and against shardedLeases at one and four tables. The rule tests keep
-// every path under one root, so at any table count all their sets meet in
-// one table (plus, for a universal set, the barrier through the others) and
-// the expected order is the same.
+// so these are the tests of the rule.
 
-// leaseDomain is the surface the rule tests need from either lease
-// implementation: a blocking acquire handing back its release, and how many
-// acquirers are parked in a wait queue right now.
+// leaseDomain is the surface the rule tests need from the lease table: a
+// blocking acquire handing back its release, and how many acquirers are
+// parked in the wait queue right now.
 type leaseDomain struct {
 	acquire func(AccessSet) (release func())
 	waiters func() int
@@ -228,7 +183,7 @@ func (lt *leaseTable) waiterCount() int {
 	return len(lt.waiting)
 }
 
-// eachLeaseDomain runs fn against the three lease configurations.
+// eachLeaseDomain runs fn against a fresh lease table.
 func eachLeaseDomain(t *testing.T, fn func(t *testing.T, d leaseDomain)) {
 	t.Run("leaseTable", func(t *testing.T) {
 		var lt leaseTable
@@ -237,21 +192,6 @@ func eachLeaseDomain(t *testing.T, fn func(t *testing.T, d leaseDomain)) {
 			waiters: lt.waiterCount,
 		})
 	})
-	for _, n := range []int{1, 4} {
-		t.Run(fmt.Sprintf("sharded=%d", n), func(t *testing.T) {
-			sl := newShardedLeases(n)
-			fn(t, leaseDomain{
-				acquire: func(a AccessSet) func() { h := sl.acquire(a); return func() { sl.release(h) } },
-				waiters: func() int {
-					w := 0
-					for i := range sl.tables {
-						w += sl.tables[i].waiterCount()
-					}
-					return w
-				},
-			})
-		})
-	}
 }
 
 // enqueue starts an acquire on its own goroutine and returns the channel
@@ -359,8 +299,7 @@ func TestLeaseRuleUniversalIsABarrier(t *testing.T) {
 }
 
 // randAccess draws a small access set from a hierarchical path universe, so
-// generated sets exercise exact, prefix, and disjoint overlaps — across
-// several shard roots, so a sharded domain takes multi-table leases.
+// generated sets exercise exact, prefix, and disjoint overlaps.
 func randAccess(rng *rand.Rand) AccessSet {
 	universe := []string{
 		"in/a", "in/b", "in/c",

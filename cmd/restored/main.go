@@ -66,7 +66,7 @@ func main() {
 		compactEvery = flag.Duration("compact-every", 5*time.Minute, "WAL compaction interval: snapshot + log truncation under a drain barrier (requires -state-dir; 0 compacts only at shutdown)")
 		queueDepth   = flag.Int("queue-depth", 256, "bounded execution queue; overflow returns 503")
 		workers      = flag.Int("workers", 0, "execution worker pool: how many workflows execute, or wait for a conflicting one's lease, at once (0 = GOMAXPROCS, 1 = serialized)")
-		shards       = flag.Int("shards", 0, "execution-core shard count: DFS namespace, repository usage state, lease admission, and WAL streams split into N independently locked shards (0 = GOMAXPROCS, 1 = classic single-domain core)")
+		shards       = flag.Int("shards", 0, "DFS namespace shard count: the namespace splits into N independently locked shards with one WAL stream each; lease admission and the repository stay one domain (0 = GOMAXPROCS, 1 = one shard)")
 		heuristic    = flag.String("heuristic", "aggressive", "sub-job heuristic: off, conservative, aggressive, all")
 		preloadPig   = flag.Bool("pigmix", false, "preload the PigMix tables (15GB instance, laptop scale)")
 		keepPolicy   = flag.String("keep-policy", "all", "§5 keep rules: 'all', or a comma list of 'size-reduction' (rule 1) and 'time-saving' (rule 2)")

@@ -135,7 +135,7 @@ var executionPhases = []struct {
 type execution struct {
 	s     *System
 	p     *Prepared
-	lease *heldLease
+	lease *execLease
 	repo  *core.Repository
 	res   *Result
 

@@ -60,7 +60,7 @@ type Mutation struct {
 
 // Journal receives every committed repository mutation. Record is called
 // synchronously under the lock that committed the mutation (r.mu for entry
-// mutations, the path shard's lock for retention-table mutations) plus the
+// mutations, the path-index lock for retention-table mutations) plus the
 // journal leaf mutex, so records for any one entry or any one path arrive
 // in exactly the order those mutations took effect; implementations must be
 // fast and must not call back into the repository.
@@ -80,7 +80,7 @@ func (r *Repository) SetJournal(j Journal) {
 // journalEmit forwards one committed mutation to the attached journal.
 // Called by every mutating method while still holding the lock that
 // committed the mutation; takes only the leaf mutex jmu itself, so callers
-// holding r.mu and callers holding a pathShard lock both emit without
+// holding r.mu and callers holding the paths lock both emit without
 // taking the other's lock.
 func (r *Repository) journalEmit(m Mutation) {
 	r.jmu.Lock()

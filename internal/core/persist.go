@@ -36,15 +36,6 @@ func (r *Repository) Save(w io.Writer) error {
 // LoadRepository reads a repository written by Save. Entries are re-indexed
 // and re-validated; corrupt entries abort the load.
 func LoadRepository(rd io.Reader) (*Repository, error) {
-	return LoadRepositorySharded(rd, 1)
-}
-
-// LoadRepositorySharded is LoadRepository building an n-path-shard
-// repository (NewShardedRepository) — the recovery path uses it so a
-// sharded daemon's adopted repository keeps its shard count across
-// restarts. The persisted form is shard-count-agnostic: paths re-route on
-// load, so any snapshot loads at any n.
-func LoadRepositorySharded(rd io.Reader, n int) (*Repository, error) {
 	var doc repositoryJSON
 	if err := json.NewDecoder(rd).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("core: load repository: %w", err)
@@ -52,8 +43,11 @@ func LoadRepositorySharded(rd io.Reader, n int) (*Repository, error) {
 	if doc.Version != persistVersion {
 		return nil, fmt.Errorf("core: load repository: unsupported version %d", doc.Version)
 	}
-	repo := NewShardedRepository(n)
+	repo := NewRepository()
 	for _, e := range doc.Entries {
+		if e == nil {
+			return nil, fmt.Errorf("core: load repository: null entry")
+		}
 		if _, added, err := repo.Add(e); err != nil {
 			return nil, fmt.Errorf("core: load repository entry %s: %w", e.ID, err)
 		} else if !added {

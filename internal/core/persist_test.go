@@ -68,6 +68,15 @@ func TestLoadRepositoryRejectsCorrupt(t *testing.T) {
 		`{"version":1,"entries":[{"id":"x","plan":{"ops":[]},"outputPath":"o"}]}`)); err == nil {
 		t.Error("invalid entry accepted")
 	}
+	// Two different plans under one ID would leave one unreachable by ID.
+	limit := func(in, out string) string {
+		return `{"id":"x","outputPath":"` + out + `","plan":{"ops":[{"id":1,"kind":"Load","path":"` + in +
+			`"},{"id":2,"kind":"Limit","inputs":[1],"n":1},{"id":3,"kind":"Store","inputs":[2],"path":"` + out + `"}]}}`
+	}
+	if _, err := LoadRepository(strings.NewReader(
+		`{"version":1,"entries":[` + limit("a", "o") + `,` + limit("b", "p") + `]}`)); err == nil {
+		t.Error("duplicate entry id accepted")
+	}
 }
 
 func TestSaveLoadEmptyRepository(t *testing.T) {

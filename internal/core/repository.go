@@ -24,13 +24,12 @@
 //     commit order; a snapshot (Save) plus the journaled suffix (Apply)
 //     reconstructs the repository exactly after a crash. Pins are
 //     process-local and never persisted.
-//   - The match index (byCanon/ordered/byFP/unindexed) stays under the one
-//     repository mutex — reuse semantics are identical at any shard count.
-//     Only the path-keyed state (the Rule-4 invalidation index byPath and
-//     the §5 retention table) is sharded by shardkey, each shard behind its
-//     own lock, so disjoint queries' invalidation probes never contend.
-//     Lock order is r.mu → pathShard.mu → r.jmu; methods that take a later
-//     lock never hold an earlier one afterwards.
+//   - The match index (byCanon/ordered/byFP/unindexed) stays under the
+//     repository mutex. The path-keyed state (the Rule-4 invalidation index
+//     byPath and the §5 retention table) sits behind its own lock, so
+//     retention notes (NoteOutput) never take the repository mutex. Lock
+//     order is r.mu → paths.mu → r.jmu; methods that take a later lock
+//     never hold an earlier one afterwards.
 package core
 
 import (
@@ -40,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/physical"
-	"repro/internal/shardkey"
 	"repro/internal/types"
 )
 
@@ -110,8 +108,16 @@ func (e *Entry) ioRatio() float64 {
 	return float64(e.InputBytes) / float64(e.OutputBytes)
 }
 
-// finish validates and indexes a freshly built entry.
+// finish validates and indexes a freshly built entry. Entries also arrive
+// from disk (LoadRepository, journal replay), so the plan is validated
+// before anything indexes into its operators.
 func (e *Entry) finish() error {
+	if e.Plan == nil {
+		return fmt.Errorf("core: entry %s: no plan", e.ID)
+	}
+	if err := e.Plan.Validate(); err != nil {
+		return err
+	}
 	sinks := e.Plan.Sinks()
 	if len(sinks) != 1 {
 		return fmt.Errorf("core: entry %s: plan must have exactly one Store, has %d", e.ID, len(sinks))
@@ -123,9 +129,6 @@ func (e *Entry) finish() error {
 	e.matchSize = e.Plan.Len() - 1
 	if term := e.Plan.Op(e.terminal); term != nil && term.Kind == physical.OpLoad {
 		return fmt.Errorf("core: entry %s: trivial Load->Store plan is not storable", e.ID)
-	}
-	if err := e.Plan.Validate(); err != nil {
-		return err
 	}
 	e.ix = physical.IndexPlan(e.Plan)
 	e.termFP = e.ix.Fingerprint(e.terminal)
@@ -150,13 +153,9 @@ func (e *Entry) index() *physical.PlanIndex {
 	return physical.IndexPlan(e.Plan)
 }
 
-// pathShard is one independently locked slice of the repository's
-// path-keyed state: the Rule-4 invalidation index and the §5 retention
-// table, restricted to the DFS paths shardkey routes here. An eviction
-// pass probes only the pathShards of the paths it was fed, so disjoint
-// queries' invalidation checks and retention notes on different shards
-// never contend.
-type pathShard struct {
+// pathIndex is the repository's path-keyed state — the Rule-4 invalidation
+// index and the §5 retention table — behind its own lock.
+type pathIndex struct {
 	mu sync.RWMutex
 	// byPath is the inverted invalidation index: DFS path -> entries whose
 	// input set or stored output touches it (exact-path keys; DFS paths are
@@ -193,13 +192,11 @@ type Repository struct {
 	// unindexed lists entries excluded from byFP (Split-bearing plans);
 	// every probe also verifies these, preserving exact §3 semantics.
 	unindexed []*Entry
-	// pathShards holds the sharded path-keyed state (see pathShard). A
-	// path's shard is shardkey.Index(path, len(pathShards)) — the same
-	// routing the DFS namespace and WAL streams use.
-	pathShards []pathShard
-	nextID     int
+	// paths holds the path-keyed state (see pathIndex).
+	paths  pathIndex
+	nextID int
 	// jmu is a leaf mutex guarding the journal pointer, so mutations
-	// committed under a pathShard lock (NoteOutput) and mutations committed
+	// committed under the paths lock (NoteOutput) and mutations committed
 	// under r.mu (Add, Remove, MarkUsed) both journal without either lock
 	// needing the other. Always the last lock taken.
 	jmu sync.Mutex
@@ -208,37 +205,17 @@ type Repository struct {
 	journal Journal
 }
 
-// NewRepository returns an empty repository with a single path shard — the
-// single-domain oracle configuration.
-func NewRepository() *Repository { return NewShardedRepository(1) }
-
-// NewShardedRepository returns an empty repository whose path-keyed state
-// (Rule-4 invalidation index, retention table) is split over n
-// independently locked shards (n < 1 is clamped to 1). The match index is
-// unaffected: reuse semantics are identical at any n.
-func NewShardedRepository(n int) *Repository {
-	if n < 1 {
-		n = 1
+// NewRepository returns an empty repository.
+func NewRepository() *Repository {
+	return &Repository{
+		byID:    make(map[string]*Entry),
+		byCanon: make(map[string]*Entry),
+		byFP:    make(map[physical.Fingerprint][]*Entry),
+		paths: pathIndex{
+			byPath:  make(map[string][]*Entry),
+			outputs: make(map[string]OutputRecord),
+		},
 	}
-	r := &Repository{
-		byID:       make(map[string]*Entry),
-		byCanon:    make(map[string]*Entry),
-		byFP:       make(map[physical.Fingerprint][]*Entry),
-		pathShards: make([]pathShard, n),
-	}
-	for i := range r.pathShards {
-		r.pathShards[i].byPath = make(map[string][]*Entry)
-		r.pathShards[i].outputs = make(map[string]OutputRecord)
-	}
-	return r
-}
-
-// NumPathShards returns how many path shards the repository was built with.
-func (r *Repository) NumPathShards() int { return len(r.pathShards) }
-
-// pathShardOf returns the shard owning the path-keyed state for path.
-func (r *Repository) pathShardOf(path string) *pathShard {
-	return &r.pathShards[shardkey.Index(path, len(r.pathShards))]
 }
 
 // touchedPaths returns the DFS paths the entry is filed under in byPath:
@@ -280,6 +257,9 @@ func (r *Repository) Add(e *Entry) (*Entry, bool, error) {
 		r.nextID++
 		e.ID = fmt.Sprintf("entry-%d", r.nextID)
 	}
+	if _, dup := r.byID[e.ID]; dup {
+		return nil, false, fmt.Errorf("core: entry %s: duplicate id", e.ID)
+	}
 	r.entries = append(r.entries, e)
 	r.byID[e.ID] = e
 	r.byCanon[canon] = e
@@ -294,12 +274,11 @@ func (r *Repository) Add(e *Entry) (*Entry, bool, error) {
 	} else {
 		r.unindexed = append(r.unindexed, e)
 	}
+	r.paths.mu.Lock()
 	for _, p := range e.touchedPaths() {
-		sh := r.pathShardOf(p)
-		sh.mu.Lock()
-		sh.byPath[p] = append(sh.byPath[p], e)
-		sh.mu.Unlock()
+		r.paths.byPath[p] = append(r.paths.byPath[p], e)
 	}
+	r.paths.mu.Unlock()
 	r.journalEmit(Mutation{Op: MutAdd, Entry: e.clone()})
 	return e, true, nil
 }
@@ -341,16 +320,15 @@ func (r *Repository) removeLocked(id string) *Entry {
 	} else {
 		r.unindexed = dropFromSlice(r.unindexed, e)
 	}
+	r.paths.mu.Lock()
 	for _, p := range e.touchedPaths() {
-		sh := r.pathShardOf(p)
-		sh.mu.Lock()
-		if b := dropFromSlice(sh.byPath[p], e); len(b) > 0 {
-			sh.byPath[p] = b
+		if b := dropFromSlice(r.paths.byPath[p], e); len(b) > 0 {
+			r.paths.byPath[p] = b
 		} else {
-			delete(sh.byPath, p)
+			delete(r.paths.byPath, p)
 		}
-		sh.mu.Unlock()
 	}
+	r.paths.mu.Unlock()
 	r.journalEmit(Mutation{Op: MutRemove, ID: id})
 	return e
 }
@@ -518,8 +496,8 @@ func (r *Repository) OrderedSnapshot() []*Entry {
 // stored output touches any of the given DFS paths, deduplicated. This is
 // the indexed Rule-4 candidate set for a batch of mutated paths: its size
 // scales with the mutations, not the repository. Two-phase: candidate IDs
-// are collected under only the involved path-shard read locks, then cloned
-// under the repository read lock — an entry removed between the phases is
+// are collected under the path-index read lock, then cloned under the
+// repository read lock — an entry removed between the phases is
 // simply skipped (it no longer needs invalidating), an entry added between
 // them belongs to a later feed batch.
 func (r *Repository) EntriesTouching(paths []string) []*Entry {
@@ -528,17 +506,16 @@ func (r *Repository) EntriesTouching(paths []string) []*Entry {
 	}
 	var ids []string
 	seen := make(map[string]bool)
+	r.paths.mu.RLock()
 	for _, p := range paths {
-		sh := r.pathShardOf(p)
-		sh.mu.RLock()
-		for _, e := range sh.byPath[p] {
+		for _, e := range r.paths.byPath[p] {
 			if !seen[e.ID] {
 				seen[e.ID] = true
 				ids = append(ids, e.ID)
 			}
 		}
-		sh.mu.RUnlock()
 	}
+	r.paths.mu.RUnlock()
 	if len(ids) == 0 {
 		return nil
 	}
@@ -567,10 +544,9 @@ func (r *Repository) CloneOf(id string) *Entry {
 // or stores its output there. Retention and deferred-delete retries use it
 // to refuse deleting a file the repository still depends on.
 func (r *Repository) ReferencesPath(path string) bool {
-	sh := r.pathShardOf(path)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.byPath[path]) > 0
+	r.paths.mu.RLock()
+	defer r.paths.mu.RUnlock()
+	return len(r.paths.byPath[path]) > 0
 }
 
 // EntryUsage is the lightweight per-entry metadata the Rule-3 window and
@@ -627,26 +603,24 @@ type OutputRecord struct {
 
 // NoteOutput records (or refreshes) a user-named query output for
 // retention. Journaled, so a recovered repository remembers how old every
-// tracked output is. Takes only the path's shard lock — disjoint queries'
-// output registrations never serialize on the repository mutex.
+// tracked output is. Takes only the path-index lock — output registrations
+// never serialize on the repository mutex.
 func (r *Repository) NoteOutput(path string, seq int64, version uint64) {
-	sh := r.pathShardOf(path)
-	sh.mu.Lock()
-	sh.outputs[path] = OutputRecord{Path: path, Seq: seq, Version: version}
-	sh.mu.Unlock()
+	r.paths.mu.Lock()
+	r.paths.outputs[path] = OutputRecord{Path: path, Seq: seq, Version: version}
+	r.paths.mu.Unlock()
 	r.journalEmit(Mutation{Op: MutNoteOutput, Path: path, Seq: seq, Version: version})
 }
 
 // ForgetOutput drops a tracked output (it was retired, overwritten, or
 // vanished). Forgetting an untracked path is a no-op and is not journaled.
 func (r *Repository) ForgetOutput(path string) {
-	sh := r.pathShardOf(path)
-	sh.mu.Lock()
-	_, ok := sh.outputs[path]
+	r.paths.mu.Lock()
+	_, ok := r.paths.outputs[path]
 	if ok {
-		delete(sh.outputs, path)
+		delete(r.paths.outputs, path)
 	}
-	sh.mu.Unlock()
+	r.paths.mu.Unlock()
 	if ok {
 		r.journalEmit(Mutation{Op: MutForgetOutput, Path: path})
 	}
@@ -655,14 +629,11 @@ func (r *Repository) ForgetOutput(path string) {
 // TrackedOutputs returns the retention table sorted by path.
 func (r *Repository) TrackedOutputs() []OutputRecord {
 	var out []OutputRecord
-	for i := range r.pathShards {
-		sh := &r.pathShards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.outputs {
-			out = append(out, rec)
-		}
-		sh.mu.RUnlock()
+	r.paths.mu.RLock()
+	for _, rec := range r.paths.outputs {
+		out = append(out, rec)
 	}
+	r.paths.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }

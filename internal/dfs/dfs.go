@@ -22,13 +22,14 @@
 //     TakeDirty/DirtyCount track which files changed since the last snapshot.
 //
 // The namespace is sharded (NewSharded): each path is owned by exactly one
-// shard — chosen by shardkey.Index, so a shard root's whole subtree
+// shard — chosen by shardIndex (route.go), so a root's whole subtree
 // colocates — and each shard has its own lock, files map, journal, and dirty
-// feeds. Mutations to paths in different shards never contend; operations
-// that span the namespace (List, Export, Import) take every shard lock in
-// ascending order. New() builds the single-shard FS, which is byte-for-byte
-// the old single-mutex implementation and serves as the differential oracle
-// for the sharded configurations.
+// feeds; the daemon writes one WAL stream per shard. Mutations to paths in
+// different shards never contend; operations that span the namespace (List,
+// Export, Import) take every shard lock in ascending order. The namespace
+// and the WAL streams are the only sharded state: lease admission and the
+// repository above the DFS are one domain at every shard count. New()
+// builds the single-shard FS.
 package dfs
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/shardkey"
 	"repro/internal/types"
 )
 
@@ -131,7 +131,7 @@ func New() *FS { return NewSharded(1) }
 
 // NewSharded creates an empty FS whose namespace is split over n
 // independently locked shards (n < 1 is clamped to 1). Shard routing is
-// shardkey.Index, shared with the lease tables and the WAL streams.
+// shardIndex; each shard journals to its own WAL stream.
 func NewSharded(n int) *FS {
 	if n < 1 {
 		n = 1
@@ -147,12 +147,9 @@ func NewSharded(n int) *FS {
 // NumShards returns how many namespace shards the FS was built with.
 func (fs *FS) NumShards() int { return len(fs.shards) }
 
-// ShardOf returns the index of the shard owning path.
-func (fs *FS) ShardOf(path string) int { return shardkey.Index(path, len(fs.shards)) }
-
 // shardOf returns the shard owning path.
 func (fs *FS) shardOf(path string) *fsShard {
-	return &fs.shards[shardkey.Index(path, len(fs.shards))]
+	return &fs.shards[shardIndex(path, len(fs.shards))]
 }
 
 // Replication returns the configured replication factor.

@@ -248,7 +248,7 @@ func TestShardLocksAreIndependent(t *testing.T) {
 	const held = "held/f"
 	free := ""
 	for i := 0; free == ""; i++ {
-		if p := fmt.Sprintf("free%d/f", i); fs.ShardOf(p) != fs.ShardOf(held) {
+		if p := fmt.Sprintf("free%d/f", i); fs.shardOf(p) != fs.shardOf(held) {
 			free = p
 		}
 	}

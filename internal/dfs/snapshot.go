@@ -18,7 +18,7 @@ import (
 // records; encoding/json base64s the byte slices. The snapshot is
 // shard-count-agnostic: files carry no shard assignment, so a snapshot
 // written by an N-shard FS imports cleanly into an M-shard one (paths
-// re-route through shardkey on Import).
+// re-route on Import).
 type snapshotJSON struct {
 	Version int        `json:"version"`
 	Clock   uint64     `json:"clock"` // the FS-wide version counter
@@ -112,7 +112,7 @@ func (fs *FS) Import(r io.Reader) error {
 		if fj.Version > clock {
 			clock = fj.Version
 		}
-		shardFiles[fs.ShardOf(fj.Path)][fj.Path] = f
+		shardFiles[shardIndex(fj.Path, len(fs.shards))][fj.Path] = f
 	}
 	for i := range fs.shards {
 		fs.shards[i].mu.Lock()

@@ -47,10 +47,6 @@ type Engine struct {
 	// processes; either way the engine keeps planning, output-file
 	// creation, partition commits, and stats.
 	Runner TaskRunner
-	// Shuffle overrides the transport the in-process runner uses to
-	// materialize a reduce partition's runs. Nil selects the zero-copy
-	// in-memory hand-off.
-	Shuffle ShuffleTransport
 	// PhaseHook, when set, is called as each job passes a phase boundary
 	// with the job ID and a label ("map-done", "job-done"). Fault-injection
 	// tests use it to time worker kills against phase boundaries.

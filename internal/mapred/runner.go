@@ -232,11 +232,7 @@ func (lr localRunner) RunMapTask(ctx context.Context, jc *JobContext, spec MapTa
 }
 
 func (lr localRunner) RunReducePartition(ctx context.Context, jc *JobContext, part int, refs []RunRef) (*ReduceResult, error) {
-	tr := lr.e.Shuffle
-	if tr == nil {
-		tr = memShuffle{}
-	}
-	return ExecReducePartition(ctx, jc, part, refs, tr)
+	return ExecReducePartition(ctx, jc, part, refs, memShuffle{})
 }
 
 // shuffleEmitter accumulates one map task's shuffle output: hash-partitioned

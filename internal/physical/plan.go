@@ -378,6 +378,9 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	p.ops = make(map[int]*Operator, len(j.Ops))
 	p.nextID = 1
 	for _, o := range j.Ops {
+		if o == nil {
+			return fmt.Errorf("physical: null operator")
+		}
 		if err := p.AddWithID(o); err != nil {
 			return err
 		}

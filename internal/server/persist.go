@@ -93,7 +93,7 @@ type persister struct {
 	sys      *restore.System
 	syncEach bool // fsync every record instead of batching
 
-	// nshards is the execution core's shard count: the WAL runs one shard
+	// nshards is the DFS namespace shard count: the WAL runs one shard
 	// stream per DFS shard plus the meta stream.
 	nshards int
 
@@ -189,12 +189,10 @@ func (p *persister) recover() error {
 
 	// The repository replays out-of-place and is only adopted once the log
 	// has been applied; a pre-populated Config.System repository is kept
-	// when no snapshot exists (fresh state dir over a warm system). Loading
-	// with the live repository's path-shard count keeps a sharded daemon's
-	// adopted repository sharded across restarts.
+	// when no snapshot exists (fresh state dir over a warm system).
 	repo := p.sys.Repository()
 	if f, err := os.Open(filepath.Join(p.dir, repoStateFile)); err == nil {
-		loaded, lerr := core.LoadRepositorySharded(f, repo.NumPathShards())
+		loaded, lerr := core.LoadRepository(f)
 		f.Close()
 		if lerr != nil {
 			return fmt.Errorf("server: load %s: %w", repoStateFile, lerr)

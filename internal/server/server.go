@@ -74,12 +74,13 @@ type Config struct {
 	// System is the ReStore deployment to serve. If nil a fresh one (empty
 	// DFS, empty repository) is created.
 	System *restore.System
-	// Shards is the execution-core shard count used when System is nil:
-	// the constructed System partitions its DFS namespace, repository
-	// usage state, and lease admission into Shards independently locked
-	// shards (restore.WithShards), and the persister runs one WAL stream
-	// per shard. <= 1 builds the classic single-domain core. Ignored when
-	// System is set — pass restore.WithShards to restore.New instead.
+	// Shards is the DFS namespace shard count used when System is nil: the
+	// constructed System partitions its DFS namespace into Shards
+	// independently locked shards (restore.WithShards), and the persister
+	// runs one WAL stream per shard. Lease admission and the repository
+	// are one domain at any count. <= 1 builds a one-shard namespace.
+	// Ignored when System is set — pass restore.WithShards to restore.New
+	// instead.
 	Shards int
 	// StateDir enables durable state when non-empty: the repository and DFS
 	// are recovered from it at startup (snapshot + WAL replay) and every

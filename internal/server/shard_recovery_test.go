@@ -16,7 +16,7 @@ import (
 )
 
 // Crash battery for the WAL layout every core writes: one meta stream plus
-// one stream per execution-core shard. Each test runs at 1 shard and at
+// one stream per DFS shard. Each test runs at 1 shard and at
 // testShards. Per-stream torn tails must be repaired, interleaved stream
 // segments replayed order-independently, and cross-stream divergence
 // healed; a -shards change across restarts must be absorbed by a layout

@@ -18,7 +18,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-FILES=$(find . internal/server internal/dfs internal/core internal/obs internal/shardkey internal/persist internal/mapred internal/exec internal/fleet internal/expr internal/piglatin internal/logical internal/oracle -maxdepth 1 -name '*.go' ! -name '*_test.go')
+FILES=$(find . internal/server internal/dfs internal/core internal/obs internal/persist internal/mapred internal/exec internal/fleet internal/expr internal/piglatin internal/logical internal/oracle -maxdepth 1 -name '*.go' ! -name '*_test.go')
 
 stale=0
 if grep -rnE '\.go:[0-9]+' docs README.md; then

@@ -13,8 +13,8 @@ import (
 // Differential oracle battery for the sharded execution core: a system built
 // with WithShards(n) must be observationally identical to the single-domain
 // oracle (the default New()) on any workload. Sharding partitions the DFS
-// namespace, repository usage state, and lease admission purely for
-// concurrency — never for semantics — so the same seeded query stream run in
+// namespace (and the daemon's WAL streams) purely for concurrency — never
+// for semantics — so the same seeded query stream run in
 // the same order must produce byte-identical DFS contents, the same
 // repository entries with the same usage counters, the same reuse and
 // eviction statistics, and the same per-query rewrite/evict decisions.

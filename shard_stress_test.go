@@ -11,14 +11,14 @@ import (
 )
 
 // TestShardBarrierStress storms a sharded system from three sides at once:
-// per-namespace query workers (single- and multi-shard leases), one GC
+// per-namespace query workers (single- and multi-shard paths), one GC
 // goroutine per shard (CollectGarbage passes draining the dirty feed under
-// retention leases), and a checkpoint loop taking the universal cross-shard
-// barrier (SaveState). The barrier acquires every shard's lease table in
-// canonical ascending order, so the test's job is to prove the ordering invariant
-// under contention: no deadlock (the test finishes), no lost entries (every
-// surviving repository entry's stored output still exists and still serves
-// a reuse), and a quiesced lease table at the end.
+// retention leases), and a checkpoint loop taking the universal barrier
+// (SaveState), which drains the lease table and reads every DFS shard. The
+// test proves the barrier under contention: no deadlock (the test
+// finishes), no lost entries (every surviving repository entry's stored
+// output still exists and still serves a reuse), and a quiesced lease table
+// at the end.
 func TestShardBarrierStress(t *testing.T) {
 	const (
 		nss      = 4
@@ -103,7 +103,7 @@ func TestShardBarrierStress(t *testing.T) {
 	// barrier (an eviction that removed the file but not the entry, or a
 	// checkpoint that raced a pass's removal).
 	if sys.leases.inflightCount() != 0 {
-		t.Fatalf("lease tables not drained after the storm: %d inflight", sys.leases.inflightCount())
+		t.Fatalf("lease table not drained after the storm: %d inflight", sys.leases.inflightCount())
 	}
 	entries := sys.Repository().All()
 	if len(entries) == 0 {
@@ -133,11 +133,9 @@ func TestShardBarrierStress(t *testing.T) {
 	}
 }
 
-// TestUniversalBarrierOrdering pins the deadlock-freedom argument directly:
-// many goroutines acquiring overlapping multi-shard leases (including the
-// universal set) in parallel must all complete. If any acquisition path
-// took shard tables out of ascending order, this test would wedge two
-// barriers against each other.
+// TestUniversalBarrierOrdering pins deadlock freedom directly: many
+// goroutines acquiring overlapping leases over paths on different DFS
+// shards (including the universal set) in parallel must all complete.
 func TestUniversalBarrierOrdering(t *testing.T) {
 	const shards = 4
 	sys := New(WithShards(shards))

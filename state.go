@@ -47,7 +47,7 @@ func (s *System) SaveState(repoW, dfsW io.Writer) error {
 // SaveRepository. The DFS must already contain the referenced output files
 // (a mismatch is caught by Rule-4 eviction on the next query).
 func (s *System) LoadRepositoryFrom(r io.Reader) error {
-	repo, err := core.LoadRepositorySharded(r, s.shards)
+	repo, err := core.LoadRepository(r)
 	if err != nil {
 		return err
 	}

@@ -113,15 +113,11 @@ type System struct {
 	// leases admits mutating operations by declared read/write path sets;
 	// parsing, planning, and compilation happen outside it. Disjoint
 	// executions hold leases concurrently; universal operations
-	// (checkpoints, repository swaps) drain them. Split into one table per
-	// shard (shardkey routing, same as the DFS namespace): disjoint
-	// executions on different shards never touch the same lease mutex, and
-	// universal operations become the cross-shard barrier, acquiring every
-	// table in ascending order.
-	leases *shardedLeases
-	// shards is the execution-core shard count (DFS namespace, lease
-	// tables, repository path indexes, WAL streams). 1 — the
-	// default — is the single-domain oracle configuration.
+	// (checkpoints, repository swaps) drain them. One table at every shard
+	// count: only the DFS namespace and the WAL streams are sharded.
+	leases leaseTable
+	// shards is the DFS namespace shard count, which also fixes the number
+	// of per-shard WAL streams. 1 is the default.
 	shards int
 	// seq is the workflow sequence: assigned right after admission (lease
 	// grant) so repository statistics (CreatedSeq, LastUsedSeq) and the §5
@@ -241,15 +237,12 @@ func WithObserver(r *obs.Registry) Option {
 	return func(s *System) { s.SetObserver(r) }
 }
 
-// WithShards splits the execution core — DFS namespace, lease tables, and
-// repository path-keyed state — into n independently locked shards, routed
-// by shardkey (a path's whole subtree colocates; universal operations
-// barrier across all shards in canonical order). n <= 0 selects
-// runtime.GOMAXPROCS(0). The default is 1: a single-shard System is
-// behaviorally identical to the pre-sharding implementation and serves as
-// the differential-test oracle for the sharded configurations. Reuse
-// semantics are independent of n — the match/fingerprint index is shared at
-// every shard count.
+// WithShards splits the DFS namespace into n independently locked shards,
+// routed by path (a path's whole subtree colocates), and gives the daemon's
+// write-ahead log one stream per shard. n <= 0 selects
+// runtime.GOMAXPROCS(0). The default is 1. Lease admission and the
+// repository are one domain at every n, so results, reuse decisions and
+// saved state are independent of n.
 func WithShards(n int) Option {
 	return func(s *System) {
 		if n <= 0 {
@@ -284,18 +277,13 @@ func New(opts ...Option) *System {
 	s.engine.Cluster = s.cluster
 	s.selector.Cluster = s.cluster
 	if s.shards != 1 {
-		// WithShards: rebuild the empty storage domains at the requested
-		// shard count (nothing has been written yet — options only set
-		// configuration) and repoint every component that captured the
-		// originals.
+		// WithShards: rebuild the empty DFS at the requested shard count
+		// (nothing has been written yet — options only set configuration)
+		// and repoint every component that captured the original.
 		s.fs = dfs.NewSharded(s.shards)
 		s.engine.FS = s.fs
 		s.selector.FS = s.fs
-		s.repo.Store(core.NewShardedRepository(s.shards))
-		s.selector.Repo = s.repo.Load()
 	}
-	s.leases = newShardedLeases(s.shards)
-	s.leases.obs = s.obs // WithObserver may have run before leases existed
 	if s.backend == nil {
 		s.backend = s.engine
 	}
@@ -317,7 +305,7 @@ func (s *System) SetBackend(b Backend) {
 // Backend returns the installed execution backend.
 func (s *System) Backend() Backend { return s.backend }
 
-// Shards returns the execution-core shard count the System was built with.
+// Shards returns the DFS namespace shard count the System was built with.
 func (s *System) Shards() int { return s.shards }
 
 // SetObserver installs the telemetry registry the System (and its lease
@@ -326,9 +314,7 @@ func (s *System) Shards() int { return s.shards }
 // in-flight executions. nil or obs.Disabled turns recording off.
 func (s *System) SetObserver(r *obs.Registry) {
 	s.obs = r
-	if s.leases != nil {
-		s.leases.obs = r
-	}
+	s.leases.obs = r
 }
 
 // Observer returns the installed telemetry registry (nil when none was
