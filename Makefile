@@ -42,7 +42,7 @@ flake:
 # Not part of check: tier-1 runs only the checked-in corpora.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
-	FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
+	FuzzRecordsTSV:./internal/types FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
 	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred \
 	FuzzLoadRepository:./internal/core
 
@@ -117,6 +117,8 @@ race-fleet:
 #   obs     histogram/trace/rate-window record costs, plus the full serving
 #           path instrumented vs obs.Disabled
 #   hot     repeat-query submission with the zero-compile hot path on vs off
+#           (3-row replies), plus the hot path serving a 4000-row reply:
+#           the row read-back from stored bytes to reply bytes
 #   shard   the all-disjoint round on a single-domain core vs an 8-shard one
 #   engine  the reduce-side ordering kernel (concat + stable sort over the
 #           closure-chain reference order vs sorted runs + k-way merge) and

@@ -3,13 +3,11 @@ package restore
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/obs"
-	"repro/internal/types"
 )
 
 // JobReport describes one executed MapReduce job.
@@ -378,29 +376,4 @@ func (s *System) commitQuery(repo *core.Repository, p *Prepared, res *Result, qs
 		}
 	}
 	s.stats.RecordQuery(qs)
-}
-
-// ReadOutput reads the tuples of one requested output of a Result,
-// following aliases.
-func (s *System) ReadOutput(res *Result, requested string) ([]types.Tuple, error) {
-	actual, ok := res.Outputs[requested]
-	if !ok {
-		return nil, fmt.Errorf("restore: %q is not an output of this query", requested)
-	}
-	return s.fs.ReadAll(actual)
-}
-
-// ReadOutputTSV reads an output as sorted tab-separated lines — convenient
-// for comparisons and examples.
-func (s *System) ReadOutputTSV(res *Result, requested string) ([]string, error) {
-	tuples, err := s.ReadOutput(res, requested)
-	if err != nil {
-		return nil, err
-	}
-	lines := make([]string, len(tuples))
-	for i, t := range tuples {
-		lines[i] = types.FormatTSV(t)
-	}
-	sort.Strings(lines)
-	return lines, nil
 }

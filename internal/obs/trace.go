@@ -48,7 +48,9 @@ const (
 	StageExecute
 	// StageStore is phase 4: candidate registration and retention notes.
 	StageStore
-	// StageRows is the post-execution output read (readOutputs requests).
+	// StageRows is the post-execution output read-back (readOutputs
+	// requests): each output's stored partition bytes formatted as TSV
+	// lines, sorted, and encoded into the reply's JSON rows object.
 	StageRows
 	// NumStages is the number of Stage values (array sizing).
 	NumStages

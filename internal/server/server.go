@@ -402,7 +402,9 @@ type QueryRequest struct {
 	ReadOutputs bool `json:"readOutputs,omitempty"`
 }
 
-// QueryResponse is the reply to POST /v1/query.
+// QueryResponse is the reply to POST /v1/query. The server writes it
+// without building one (writeQueryReply), byte for byte as encoding/json
+// would encode it; clients decode it.
 type QueryResponse struct {
 	// Deduped reports that this submission shared an identical in-flight
 	// query's execution instead of running itself.
@@ -480,10 +482,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, out.err)
 		return
 	}
+	var trace *obs.TraceSnapshot
 	if wantTrace {
-		out.resp.Trace = snap
+		trace = snap
 	}
-	writeJSON(w, http.StatusOK, out.resp)
+	writeQueryReply(w, out.deduped, out.res, out.rows, trace)
 }
 
 // finishQuery folds one finished submission (success or failure) into the
@@ -497,13 +500,13 @@ func (s *Server) finishQuery(req *QueryRequest, out queryOutcome, begin time.Tim
 		Script:    req.Script,
 		FlightKey: out.flightKey,
 		When:      begin,
-		Deduped:   out.resp.Deduped,
+		Deduped:   out.deduped,
 		Error:     errMsg,
 		Trace:     snap,
 	})
 	lvl := slog.LevelInfo
 	attrs := []slog.Attr{
-		slog.Bool("deduped", out.resp.Deduped),
+		slog.Bool("deduped", out.deduped),
 		slog.Duration("total", time.Duration(snap.TotalNanos)),
 		slog.String("stages", snap.String()),
 	}
@@ -526,10 +529,14 @@ func shortKey(k string) string {
 	return k
 }
 
-// queryOutcome is one submission's final disposition: the response (on
-// success), its flight key (empty when preparation failed), and the error.
+// queryOutcome is one submission's final disposition: on success whether
+// it shared a flight, the result, and the flight's encoded rows object (nil
+// when no member asked for rows); its flight key (empty when preparation
+// failed); and the error.
 type queryOutcome struct {
-	resp      QueryResponse
+	deduped   bool
+	res       *restore.Result
+	rows      []byte
 	flightKey string
 	err       error
 }
@@ -613,26 +620,13 @@ func (s *Server) runQuery(req *QueryRequest, tr *obs.Trace) queryOutcome {
 		o.err = out.err
 		return o
 	}
-	o.resp = QueryResponse{Deduped: shared, Result: out.res, Rows: out.rows}
+	o.deduped, o.res, o.rows = shared, out.res, out.rows
 	if shared {
 		s.met.deduped.Add(1)
 	} else {
 		s.met.executed.Add(1)
 	}
 	return o
-}
-
-// readRows reads every output of res as sorted TSV lines.
-func readRows(sys *restore.System, res *restore.Result) (map[string][]string, error) {
-	rows := make(map[string][]string, len(res.Outputs))
-	for p := range res.Outputs {
-		lines, err := sys.ReadOutputTSV(res, p)
-		if err != nil {
-			return nil, err
-		}
-		rows[p] = lines
-	}
-	return rows, nil
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

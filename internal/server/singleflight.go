@@ -20,13 +20,14 @@ import (
 // formatting still share one flight (they compile to identical canonical
 // plans writing the same outputs).
 
-// flightOutcome is what a flight produces: the execution result, plus each
-// output's rows when any member asked for them — read by the leader inside
-// the execution's lease and pins or the fast path's pin window, where no
-// conflicting writer or concurrent eviction can touch the files.
+// flightOutcome is what a flight produces: the execution result, plus the
+// reply's encoded rows object (readRows) when any member asked for rows —
+// read by the leader inside the execution's lease and pins or the fast
+// path's pin window, where no conflicting writer or concurrent eviction can
+// touch the files.
 type flightOutcome struct {
 	res  *restore.Result
-	rows map[string][]string
+	rows []byte
 	err  error
 }
 

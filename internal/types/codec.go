@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"slices"
 )
 
 // The binary codec is the storage and shuffle format. Layout per value:
@@ -197,19 +197,31 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
+// readChunk bounds how far Reader.Read grows its buffer ahead of the bytes
+// that have arrived.
+const readChunk = 64 << 10
+
 // Read returns the next tuple or io.EOF.
+//
+// The record's length prefix is not trusted to size anything: the buffer
+// grows a chunk at a time as bytes arrive, so a corrupt or hostile prefix
+// (up to 2^64-1) costs at most one chunk before the short read fails.
 func (r *Reader) Read() (Tuple, error) {
 	l, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		return nil, err
 	}
-	if cap(r.scratch) < int(l) {
-		r.scratch = make([]byte, l)
+	buf := r.scratch[:0]
+	for uint64(len(buf)) < l {
+		n := int(min(l-uint64(len(buf)), readChunk))
+		buf = slices.Grow(buf, n)
+		m, err := io.ReadFull(r.r, buf[len(buf):len(buf)+n])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, fmt.Errorf("types: short record: %w", err)
+		}
 	}
-	buf := r.scratch[:l]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return nil, fmt.Errorf("types: short record: %w", err)
-	}
+	r.scratch = buf
 	t, _, err := DecodeTuple(buf)
 	return t, err
 }
@@ -296,55 +308,4 @@ func hashUint64(h, x uint64) uint64 {
 		h = hashByte(h, byte(x>>uint(shift)))
 	}
 	return h
-}
-
-// FormatTSV renders a tuple as a tab-separated line (the human-readable
-// export format, mirroring PigStorage).
-func FormatTSV(t Tuple) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, "\t")
-}
-
-// ParseTSVTyped parses one tab-separated line according to a schema. Columns
-// with KindNull schema entries stay strings; missing columns become null.
-func ParseTSVTyped(line string, schema Schema) Tuple {
-	cols := strings.Split(line, "\t")
-	n := schema.Len()
-	if n == 0 {
-		n = len(cols)
-	}
-	t := make(Tuple, n)
-	for i := 0; i < n; i++ {
-		if i >= len(cols) {
-			t[i] = Null()
-			continue
-		}
-		raw := cols[i]
-		kind := KindNull
-		if i < schema.Len() {
-			kind = schema.Fields[i].Kind
-		}
-		switch kind {
-		case KindInt:
-			if iv, ok := CoerceInt(NewString(raw)); ok {
-				t[i] = NewInt(iv)
-			} else {
-				t[i] = Null()
-			}
-		case KindFloat:
-			if fv, ok := CoerceFloat(NewString(raw)); ok {
-				t[i] = NewFloat(fv)
-			} else {
-				t[i] = Null()
-			}
-		case KindBool:
-			t[i] = NewBool(raw == "true")
-		default:
-			t[i] = NewString(raw)
-		}
-	}
-	return t
 }

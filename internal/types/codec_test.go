@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
 	"io"
 	"math"
@@ -227,6 +228,31 @@ func TestHashTupleKeepsEncodedHash(t *testing.T) {
 		if got, want := HashTuple(tu), h.Sum64(); got != want {
 			t.Fatalf("HashTuple(%v) = %x, want FNV-1a of its encoding %x", tu, got, want)
 		}
+	}
+}
+
+// corruptLengthRecords are records whose length prefix declares far more
+// bytes than follow: 2^64-1 (the whole 10-byte input is the prefix) and
+// 1 TiB (a 6-byte prefix and 2 bytes of payload).
+var corruptLengthRecords = map[string][]byte{
+	"len_2^64-1": binary.AppendUvarint(nil, math.MaxUint64),
+	"len_1TiB":   append(binary.AppendUvarint(nil, 1<<40), 1, byte(KindNull)),
+}
+
+// TestReaderRejectsCorruptLength pins that Reader.Read sizes nothing from
+// the length prefix: both inputs fail with an error instead of a slice
+// bounds panic or an out-of-memory abort.
+func TestReaderRejectsCorruptLength(t *testing.T) {
+	for name, in := range corruptLengthRecords {
+		if tu, err := NewReader(bytes.NewReader(in)).Read(); err == nil {
+			t.Errorf("%s (%d bytes): read %v, want an error", name, len(in), tu)
+		}
+	}
+	if n := len(corruptLengthRecords["len_2^64-1"]); n != 10 {
+		t.Errorf("2^64-1 prefix is %d bytes, want 10", n)
+	}
+	if n := len(corruptLengthRecords["len_1TiB"]); n != 8 {
+		t.Errorf("1 TiB input is %d bytes, want 8", n)
 	}
 }
 

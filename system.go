@@ -26,9 +26,10 @@
 // its options and accessors; prepare.go parses, plans and compiles
 // (Prepare, PrepareCached, Explain); execute.go runs the leased phases
 // (ExecutePreparedTraced); hot.go serves stored results without a lease
-// (TryServeStored); gc.go is §5 eviction (CollectGarbage); state.go is the
-// durable-state surface (SaveState, AdoptRepository); access.go is the
-// lease table.
+// (TryServeStored); rows.go reads outputs back as sorted lines
+// (ReadOutputLines, ReadOutputTSV); gc.go is §5 eviction (CollectGarbage);
+// state.go is the durable-state surface (SaveState, AdoptRepository);
+// access.go is the lease table.
 package restore
 
 import (
