@@ -2,7 +2,7 @@
 
 GO ?= go
 
-BENCHES := match gc obs hot shard engine fleet
+BENCHES := match gc obs hot shard engine fleet types
 
 .PHONY: check fmt vet test flake fuzz race race-server race-shard race-engine race-fleet oracle-imports docs-check build bench-selftest $(BENCHES:%=bench-%) $(BENCHES:%=bench-%-smoke)
 
@@ -89,12 +89,13 @@ race-shard:
 # exactly (kinds, bag order, which of two equal keys), and the drawn map and
 # reduce parallelism leaves the same DFS bytes and JobResults as
 # parallelism 1; the multi-failure map-phase error collection; the
-# compiled-comparator fuzz corpus; and HashTuple agreeing with Compare. Runs
-# twice under the detector: map and reduce pool interleavings differ per
-# run.
+# compiled-comparator fuzz corpus; HashTuple agreeing with Compare; and the
+# types.Value layout tests, whose unsafe conversions -race checks with
+# checkptr. Runs twice under the detector: map and reduce pool interleavings
+# differ per run.
 race-engine:
 	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors' ./internal/mapred
-	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash' ./internal/mapred ./internal/types
+	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue' ./internal/mapred ./internal/types
 
 # The fleet backend battery: the backend differential (the worker fleet
 # makes the in-process engine's rewrite decisions, leaves repository and DFS
@@ -124,6 +125,9 @@ race-fleet:
 #           closure-chain reference order vs sorted runs + k-way merge) and
 #           the whole order job on the data plane
 #   fleet   a grouped-aggregate query stream through a two-worker HTTP fleet
+#   types   the tuple codec and order on the Value layout: encode, decode
+#           (a narrow row and a 9-column page_views-shaped row) and
+#           CompareTuples on records that tie until the last column
 # End-to-end speed (throughput, latency, the layer budget) is not here: it
 # is `bash benchmark/run.sh`. Per name, the package(s) and the regexp:
 BENCH_PKG_match  := ./internal/core
@@ -140,6 +144,8 @@ BENCH_PKG_engine := ./internal/mapred
 BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob
 BENCH_PKG_fleet  := ./internal/fleet
 BENCH_RE_fleet   := BenchmarkFleet
+BENCH_PKG_types  := ./internal/types
+BENCH_RE_types   := BenchmarkEncodeTuple|BenchmarkDecodeTuple|BenchmarkCompareTuples
 
 $(BENCHES:%=bench-%): bench-%:
 	$(GO) test $(BENCH_PKG_$*) -run '^$$' -bench '$(BENCH_RE_$*)' -benchmem

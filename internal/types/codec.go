@@ -37,25 +37,20 @@ func encodeValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.w))
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, v.integer())
 	case KindFloat:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		dst = append(dst, buf[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, v.w)
 	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.w)
+		dst = append(dst, v.str()...)
 	case KindTuple:
-		dst = EncodeTuple(dst, v.t)
+		dst = EncodeTuple(dst, v.tuple())
 	case KindBag:
-		dst = binary.AppendUvarint(dst, uint64(len(v.bag.Tuples)))
-		for _, t := range v.bag.Tuples {
+		bag := v.bag()
+		dst = binary.AppendUvarint(dst, uint64(len(bag.Tuples)))
+		for _, t := range bag.Tuples {
 			dst = EncodeTuple(dst, t)
 		}
 	}
@@ -262,26 +257,24 @@ func hashValue(h uint64, v *Value) uint64 {
 		}
 		return hashUint64(hashByte(h, byte(KindFloat)), math.Float64bits(f))
 	case KindBool:
-		var b byte
-		if v.b {
-			b = 1
-		}
-		return hashByte(hashByte(h, byte(KindBool)), b)
+		return hashByte(hashByte(h, byte(KindBool)), byte(v.w))
 	case KindString:
-		h = hashUvarint(hashByte(h, byte(KindString)), uint64(len(v.s)))
-		for i := 0; i < len(v.s); i++ {
-			h = hashByte(h, v.s[i])
+		s := v.str()
+		h = hashUvarint(hashByte(h, byte(KindString)), uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h = hashByte(h, s[i])
 		}
 		return h
 	case KindTuple:
-		return hashTuple(hashByte(h, byte(KindTuple)), v.t)
+		return hashTuple(hashByte(h, byte(KindTuple)), v.tuple())
 	case KindBag:
 		// Summing per-tuple hashes makes the bag's hash order-free.
+		bag := v.bag()
 		var sum uint64
-		for _, t := range v.bag.Tuples {
+		for _, t := range bag.Tuples {
 			sum += hashTuple(fnvOffset, t)
 		}
-		h = hashUvarint(hashByte(h, byte(KindBag)), uint64(len(v.bag.Tuples)))
+		h = hashUvarint(hashByte(h, byte(KindBag)), uint64(len(bag.Tuples)))
 		return hashUint64(h, sum)
 	default:
 		return hashByte(h, byte(v.kind))

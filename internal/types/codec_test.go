@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -127,23 +128,24 @@ func TestHashTupleStable(t *testing.T) {
 // floats within int64 range become ints, zero flips its sign, and bags are
 // reversed; the rule recurses into tuples and bags.
 func numericTwin(v Value) Value {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return NewFloat(float64(v.i))
+		return NewFloat(float64(v.Int()))
 	case KindFloat:
-		if v.f == 0 {
-			return NewFloat(math.Copysign(0, -math.Copysign(1, v.f)))
+		f := v.Float()
+		if f == 0 {
+			return NewFloat(math.Copysign(0, -math.Copysign(1, f)))
 		}
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1<<62 {
-			return NewInt(int64(v.f))
+		if f == math.Trunc(f) && math.Abs(f) < 1<<62 {
+			return NewInt(int64(f))
 		}
 		return v
 	case KindTuple:
-		return NewTuple(tupleTwin(v.t))
+		return NewTuple(tupleTwin(v.Tuple()))
 	case KindBag:
-		out := &Bag{}
-		for i := len(v.bag.Tuples) - 1; i >= 0; i-- {
-			out.Add(tupleTwin(v.bag.Tuples[i]))
+		ts, out := v.Bag().Tuples, &Bag{}
+		for i := len(ts) - 1; i >= 0; i-- {
+			out.Add(tupleTwin(ts[i]))
 		}
 		return NewBag(out)
 	default:
@@ -276,8 +278,23 @@ func TestFormatAndParseTSV(t *testing.T) {
 	}
 }
 
+// benchTuples are the records the codec and comparison benchmarks run on:
+// a narrow four-column row, and one shaped like a PigMix page_views record
+// (9 columns, two of them 350-byte strings).
+var benchTuples = []struct {
+	name string
+	tu   Tuple
+}{
+	{"narrow", Tuple{NewString("user_1234567"), NewInt(123456), NewFloat(9.99), NewString("page_info_payload")}},
+	{"pageviews", Tuple{
+		NewString("user_0000421"), NewInt(2), NewInt(37), NewString("term_00123"),
+		NewString("10.1.23.45"), NewInt(1325376000), NewFloat(12.75),
+		NewString(strings.Repeat("i", 350)), NewString(strings.Repeat("l", 350)),
+	}},
+}
+
 func BenchmarkEncodeTuple(b *testing.B) {
-	tu := Tuple{NewString("user_1234567"), NewInt(123456), NewFloat(9.99), NewString("page_info_payload")}
+	tu := benchTuples[0].tu
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -286,13 +303,35 @@ func BenchmarkEncodeTuple(b *testing.B) {
 }
 
 func BenchmarkDecodeTuple(b *testing.B) {
-	tu := Tuple{NewString("user_1234567"), NewInt(123456), NewFloat(9.99), NewString("page_info_payload")}
-	buf := EncodeTuple(nil, tu)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTuple(buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range benchTuples {
+		buf := EncodeTuple(nil, c.tu)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecodeTuple(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompareTuples compares two decoded records that tie on every
+// column but the last, the shuffle sort's worst case.
+func BenchmarkCompareTuples(b *testing.B) {
+	for _, c := range benchTuples {
+		x, _, _ := DecodeTuple(EncodeTuple(nil, c.tu))
+		y, _, _ := DecodeTuple(EncodeTuple(nil, c.tu))
+		y[len(y)-1] = NewString(y[len(y)-1].Str() + "!")
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if CompareTuples(x, y) >= 0 {
+					b.Fatal("want x < y")
+				}
+			}
+		})
 	}
 }
 

@@ -22,19 +22,19 @@ func toValueJSON(v Value) valueJSON {
 	out := valueJSON{Kind: v.kind.String()}
 	switch v.kind {
 	case KindBool:
-		out.Bool = v.b
+		out.Bool = v.boolean()
 	case KindInt:
-		out.Int = v.i
+		out.Int = v.integer()
 	case KindFloat:
-		out.Float = v.f
+		out.Float = v.float()
 	case KindString:
-		out.Str = v.s
+		out.Str = v.str()
 	case KindTuple:
-		for _, e := range v.t {
+		for _, e := range v.tuple() {
 			out.Tuple = append(out.Tuple, toValueJSON(e))
 		}
 	case KindBag:
-		for _, t := range v.bag.Tuples {
+		for _, t := range v.bag().Tuples {
 			var row []valueJSON
 			for _, e := range t {
 				row = append(row, toValueJSON(e))

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime type of a Value. The vocabulary follows the Pig
@@ -58,14 +59,32 @@ func (k Kind) String() string {
 // Value is a dynamically typed datum. The zero Value is null. Values are
 // represented as a tagged struct rather than an interface so that hot loops
 // (comparison, hashing, encoding) avoid per-datum allocations.
+//
+// The struct is one tag, one 8-byte word and one pointer — 24 bytes on
+// 64-bit, so a decoded 9-column record's spine is 216 bytes:
+//
+//	kind    w                      p
+//	bool    0 or 1                 nil
+//	int     the int64's bits       nil
+//	float   math.Float64bits       nil
+//	string  length                 unsafe.StringData
+//	tuple   length                 unsafe.SliceData (nil for a nil tuple)
+//	bag     0                      the *Bag
+//
+// The accessors rebuild strings and tuples from p and w with unsafe.String
+// and unsafe.Slice, as log/slog.Value does; p keeps the payload alive for
+// the collector. Aliasing the caller's bytes is safe because no Value ever
+// writes through p, and a rebuilt Tuple has cap == len, so appending to it
+// copies instead of writing past the end into a neighbour's elements.
+//
+// The zero-size _ [0]func() keeps Value non-comparable: without it == and
+// map keys would compile and compare payload pointers, not contents. It
+// comes first so that it adds no padding.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
-	s    string
-	t    Tuple
-	bag  *Bag
+	w    uint64
+	p    unsafe.Pointer
 }
 
 // Tuple is an ordered sequence of values.
@@ -81,22 +100,42 @@ type Bag struct {
 func Null() Value { return Value{} }
 
 // NewBool wraps a bool.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	var w uint64
+	if v {
+		w = 1
+	}
+	return Value{kind: KindBool, w: w}
+}
 
 // NewInt wraps an int64.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // NewFloat wraps a float64.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // NewString wraps a string.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+func NewString(v string) Value {
+	return Value{kind: KindString, w: uint64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+}
 
-// NewTuple wraps a tuple.
-func NewTuple(t Tuple) Value { return Value{kind: KindTuple, t: t} }
+// NewTuple wraps a tuple. A nil tuple stays nil and an empty one stays
+// non-nil: unsafe.SliceData keeps that distinction in p.
+func NewTuple(t Tuple) Value {
+	return Value{kind: KindTuple, w: uint64(len(t)), p: unsafe.Pointer(unsafe.SliceData(t))}
+}
 
 // NewBag wraps a bag.
-func NewBag(b *Bag) Value { return Value{kind: KindBag, bag: b} }
+func NewBag(b *Bag) Value { return Value{kind: KindBag, p: unsafe.Pointer(b)} }
+
+// The payload views behind the accessors, for callers that have checked
+// the kind.
+func (v Value) boolean() bool  { return v.w != 0 }
+func (v Value) integer() int64 { return int64(v.w) }
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.w)) }
+func (v Value) tuple() Tuple   { return unsafe.Slice((*Value)(v.p), int(v.w)) }
+func (v Value) bag() *Bag      { return (*Bag)(v.p) }
 
 // Kind reports the runtime kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -109,7 +148,7 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("types: Bool() on %s value", v.kind))
 	}
-	return v.b
+	return v.boolean()
 }
 
 // Int returns the integer payload. It panics if the kind is not KindInt.
@@ -117,7 +156,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.integer()
 }
 
 // Float returns the float payload. It panics if the kind is not KindFloat.
@@ -125,7 +164,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload. It panics if the kind is not KindString.
@@ -133,15 +172,16 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("types: Str() on %s value", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
-// Tuple returns the tuple payload. It panics if the kind is not KindTuple.
+// Tuple returns the tuple payload, with cap == len. It panics if the kind
+// is not KindTuple.
 func (v Value) Tuple() Tuple {
 	if v.kind != KindTuple {
 		panic(fmt.Sprintf("types: Tuple() on %s value", v.kind))
 	}
-	return v.t
+	return v.tuple()
 }
 
 // Bag returns the bag payload. It panics if the kind is not KindBag.
@@ -149,7 +189,7 @@ func (v Value) Bag() *Bag {
 	if v.kind != KindBag {
 		panic(fmt.Sprintf("types: Bag() on %s value", v.kind))
 	}
-	return v.bag
+	return v.bag()
 }
 
 // AsFloat converts numeric values to float64 for arithmetic. ok is false for
@@ -157,9 +197,9 @@ func (v Value) Bag() *Bag {
 func (v Value) AsFloat() (f float64, ok bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.integer()), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -167,7 +207,7 @@ func (v Value) AsFloat() (f float64, ok bool) {
 
 // Truthy reports whether the value counts as true in a filter predicate.
 // Null is false; only boolean true is true.
-func (v Value) Truthy() bool { return v.kind == KindBool && v.b }
+func (v Value) Truthy() bool { return v.kind == KindBool && v.boolean() }
 
 // String renders the value in the text (tab-free) form used by the text
 // codec and by error messages.
@@ -182,16 +222,16 @@ func (v Value) appendText(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteString("")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.boolean()))
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(v.integer(), 10))
 	case KindFloat:
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(v.float(), 'g', -1, 64))
 	case KindString:
-		sb.WriteString(v.s)
+		sb.WriteString(v.str())
 	case KindTuple:
 		sb.WriteByte('(')
-		for i, e := range v.t {
+		for i, e := range v.tuple() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -200,7 +240,7 @@ func (v Value) appendText(sb *strings.Builder) {
 		sb.WriteByte(')')
 	case KindBag:
 		sb.WriteByte('{')
-		for i, t := range v.bag.Tuples {
+		for i, t := range v.bag().Tuples {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -238,19 +278,19 @@ func Compare(a, b Value) int {
 		return 0
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.boolean() == b.boolean():
 			return 0
-		case !a.b:
+		case !a.boolean():
 			return -1
 		default:
 			return 1
 		}
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindTuple:
-		return CompareTuples(a.t, b.t)
+		return CompareTuples(a.tuple(), b.tuple())
 	case KindBag:
-		return compareBags(a.bag, b.bag)
+		return compareBags(a.bag(), b.bag())
 	default:
 		return 0
 	}
@@ -275,15 +315,15 @@ func CompareColumn(a, b Value) int {
 		return 0
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.boolean() == b.boolean():
 			return 0
-		case !a.b:
+		case !a.boolean():
 			return -1
 		default:
 			return 1
 		}
 	case KindInt:
-		af, bf := float64(a.i), float64(b.i)
+		af, bf := float64(a.integer()), float64(b.integer())
 		switch {
 		case af < bf:
 			return -1
@@ -293,16 +333,17 @@ func CompareColumn(a, b Value) int {
 			return 0
 		}
 	case KindFloat:
+		af, bf := a.float(), b.float()
 		switch {
-		case a.f < b.f:
+		case af < bf:
 			return -1
-		case a.f > b.f:
+		case af > bf:
 			return 1
 		default:
 			return 0
 		}
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	default:
 		return Compare(a, b)
 	}
@@ -383,14 +424,15 @@ func (t Tuple) Clone() Tuple {
 func CoerceInt(v Value) (int64, bool) {
 	switch v.kind {
 	case KindInt:
-		return v.i, true
+		return v.integer(), true
 	case KindFloat:
-		if v.f == math.Trunc(v.f) {
-			return int64(v.f), true
+		// int64(f) is implementation-defined outside [-2^63, 2^63).
+		if f := v.float(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			return int64(f), true
 		}
 		return 0, false
 	case KindString:
-		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 		if err != nil {
 			return 0, false
 		}
@@ -404,11 +446,11 @@ func CoerceInt(v Value) (int64, bool) {
 func CoerceFloat(v Value) (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.integer()), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 		if err != nil {
 			return 0, false
 		}

@@ -1,12 +1,17 @@
 package types
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueAccessors(t *testing.T) {
@@ -116,6 +121,14 @@ func TestCoerce(t *testing.T) {
 	if _, ok := CoerceInt(NewFloat(3.5)); ok {
 		t.Error("CoerceInt should fail on fractional float")
 	}
+	for _, f := range []float64{1e30, -1e30, 1 << 63, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if n, ok := CoerceInt(NewFloat(f)); ok {
+			t.Errorf("CoerceInt(%v) = %d, true; want false outside the int64 range", f, n)
+		}
+	}
+	if n, ok := CoerceInt(NewFloat(-1 << 63)); !ok || n != math.MinInt64 {
+		t.Errorf("CoerceInt(-2^63) = %d,%v", n, ok)
+	}
 	if f, ok := CoerceFloat(NewString("2.5")); !ok || f != 2.5 {
 		t.Errorf("CoerceFloat = %v,%v", f, ok)
 	}
@@ -130,6 +143,106 @@ func TestTupleClone(t *testing.T) {
 	cl[0] = NewInt(99)
 	if orig[0].Int() != 1 {
 		t.Error("clone aliases original")
+	}
+}
+
+// TestValueLayout pins the compact layout: 24 bytes on 64-bit, not
+// comparable with ==, and tuples handed back with cap == len so an append
+// never writes into the elements past the wrapped slice.
+func TestValueLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if got := unsafe.Sizeof(Value{}); got != 24 {
+			t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+		}
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable; == would compare payload pointers")
+	}
+	backing := Tuple{NewInt(1), NewInt(2), NewInt(3)}
+	tu := NewTuple(backing[:1]).Tuple()
+	if len(tu) != 1 || cap(tu) != 1 {
+		t.Errorf("Tuple() len %d cap %d, want 1 and 1", len(tu), cap(tu))
+	}
+	_ = append(tu, NewInt(99))
+	if backing[1].Int() != 2 {
+		t.Errorf("append to Tuple() overwrote the backing array: %v", backing)
+	}
+	if NewTuple(nil).Tuple() != nil {
+		t.Error("NewTuple(nil).Tuple() is not nil")
+	}
+	if got := NewTuple(Tuple{}).Tuple(); got == nil || len(got) != 0 {
+		t.Errorf("NewTuple(Tuple{}).Tuple() = %#v, want non-nil and empty", got)
+	}
+}
+
+// gcValues builds values whose payloads are reachable only through the
+// returned Values: heap strings and tuples sliced from the middle, empty and
+// nil payloads, and the scalar extremes. want holds what payload must
+// render for each of them.
+//
+//go:noinline
+func gcValues() (vs []Value, want []string) {
+	s := strings.Repeat("0123456789", 3)
+	tu := Tuple{NewInt(7), NewString(strings.Repeat("ab", 5)), NewFloat(-1.5), Null()}
+	bag := &Bag{Tuples: []Tuple{{NewString(strings.Repeat("z", 9))}, nil}}
+	vs = []Value{
+		NewString(s[3:9]), NewString(s[len(s):]), NewString(""),
+		NewTuple(tu[1:3]), NewTuple(nil), NewTuple(Tuple{}),
+		NewBag(nil), NewBag(bag),
+		NewInt(math.MinInt64), NewInt(math.MaxInt64), NewInt(1<<53 + 1),
+		NewFloat(math.Copysign(0, -1)), NewFloat(math.Float64frombits(0x7ff8000000000001)),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewBool(true), NewBool(false), Null(),
+	}
+	want = []string{
+		`"345678"`, `""`, `""`,
+		"(ababababab,-1.5)", "nil", "()",
+		"nil", "{(zzzzzzzzz),()}",
+		"-9223372036854775808", "9223372036854775807", "9007199254740993",
+		"0x8000000000000000", "0x7ff8000000000001",
+		"0x7ff0000000000000", "0xfff0000000000000",
+		"true", "false", "null",
+	}
+	return vs, want
+}
+
+// payload renders v through its kind's accessor: floats as their bits,
+// strings quoted, and nil tuples and bags as "nil".
+func payload(v Value) string {
+	switch v.Kind() {
+	case KindBool:
+		return strconv.FormatBool(v.Bool())
+	case KindInt:
+		return strconv.FormatInt(v.Int(), 10)
+	case KindFloat:
+		return fmt.Sprintf("%#x", math.Float64bits(v.Float()))
+	case KindString:
+		return strconv.Quote(v.Str())
+	case KindTuple:
+		if v.Tuple() == nil {
+			return "nil"
+		}
+	case KindBag:
+		if v.Bag() == nil {
+			return "nil"
+		}
+	default:
+		return "null"
+	}
+	return v.String()
+}
+
+// TestValuePayloadSurvivesGC checks that every payload a Value points at
+// stays alive and unchanged through collections once the Value holds the
+// only reference to it.
+func TestValuePayloadSurvivesGC(t *testing.T) {
+	vs, want := gcValues()
+	runtime.GC()
+	runtime.GC()
+	for i, v := range vs {
+		if got := payload(v); got != want[i] {
+			t.Errorf("value %d (%s): payload %s, want %s", i, v.Kind(), got, want[i])
+		}
 	}
 }
 
