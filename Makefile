@@ -42,7 +42,8 @@ flake:
 # Not part of check: tier-1 runs only the checked-in corpora.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
-	FuzzRecordsTSV:./internal/types FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
+	FuzzRecordsTSV:./internal/types FuzzDecodeAliased:./internal/types \
+	FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
 	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred \
 	FuzzLoadRepository:./internal/core
 
@@ -89,13 +90,16 @@ race-shard:
 # exactly (kinds, bag order, which of two equal keys), and the drawn map and
 # reduce parallelism leaves the same DFS bytes and JobResults as
 # parallelism 1; the multi-failure map-phase error collection; the
-# compiled-comparator fuzz corpus; HashTuple agreeing with Compare; and the
-# types.Value layout tests, whose unsafe conversions -race checks with
-# checkptr. Runs twice under the detector: map and reduce pool interleavings
-# differ per run.
+# compiled-comparator fuzz corpus; HashTuple agreeing with Compare; the
+# types.Value layout tests; and the aliasing decode's tests (the aliasing vs
+# copying differential corpus, strings surviving the collector once only
+# they hold a partition, and an L3 workflow in process and through a fleet
+# leaving every partition it read intact). -race checks their unsafe
+# conversions with checkptr. Runs twice under the detector: map and reduce
+# pool interleavings differ per run.
 race-engine:
 	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors' ./internal/mapred
-	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue' ./internal/mapred ./internal/types
+	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
 
 # The fleet backend battery: the backend differential (the worker fleet
 # makes the in-process engine's rewrite decisions, leaves repository and DFS

@@ -105,8 +105,9 @@ type fsShard struct {
 //
 // Partition data is copy-on-write: tasks buffer locally and CommitPartition
 // installs the whole byte slice at once; committed slices are never mutated
-// in place afterwards. That discipline is what lets readers (OpenPartition)
-// and the snapshot Export share slices under the read lock while concurrent
+// in place afterwards. That discipline is what lets readers
+// (ReadPartitionRaw, and the decoded strings that alias its bytes) and the
+// snapshot Export share slices under the read lock while concurrent
 // writers to *other* paths keep committing — a snapshot never observes a
 // half-written partition, only a partition that is entirely present or
 // entirely absent.
@@ -118,7 +119,7 @@ type FS struct {
 	replication atomic.Int64
 
 	// Counters accumulate across the lifetime of the FS; atomics so the
-	// read path (OpenPartition) needs only the read lock and concurrent
+	// read path (ReadPartitionRaw) needs only the read lock and concurrent
 	// map tasks of parallel workflows never serialize on a shard lock.
 	bytesWritten atomic.Int64 // logical bytes written
 	bytesRead    atomic.Int64 // logical bytes read
@@ -314,32 +315,13 @@ func (fs *FS) Partitions(path string) (int, error) {
 	return len(f.Parts), nil
 }
 
-// OpenPartition returns a record reader over one partition and charges the
-// read counters. Read lock only: committed partition data is immutable
-// (copy-on-write), so concurrent map tasks of parallel workflows read
-// without serializing.
-func (fs *FS) OpenPartition(path string, idx int) (*types.Reader, int64, error) {
-	sh := fs.shardOf(path)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	f, ok := sh.files[path]
-	if !ok {
-		return nil, 0, fmt.Errorf("dfs: open %s: %w", path, ErrNotExist)
-	}
-	if idx < 0 || idx >= len(f.Parts) {
-		return nil, 0, fmt.Errorf("dfs: open %s: partition %d out of range [0,%d)", path, idx, len(f.Parts))
-	}
-	data := f.Parts[idx].Data
-	fs.bytesRead.Add(int64(len(data)))
-	return types.NewReader(&sliceReader{data: data}), int64(len(data)), nil
-}
-
 // ReadPartitionRaw returns the committed payload bytes of one partition in
-// the encoded wire format, charging the read counters exactly like
-// OpenPartition. The fleet coordinator uses it to ship input partitions to
-// workers (which decode them with types.NewReader) and to assemble replay
-// payloads from stored sub-job outputs. Callers must not mutate the
-// returned slice.
+// the encoded wire format and charges the read counters. Read lock only:
+// committed partition data is immutable (copy-on-write), so concurrent map
+// tasks of parallel workflows read without serializing. Map tasks decode the
+// bytes in place (types.NewSliceReader, whose strings alias them); the
+// fleet coordinator ships them to workers and assembles replay payloads
+// from stored sub-job outputs. Callers must not mutate the returned slice.
 func (fs *FS) ReadPartitionRaw(path string, idx int) ([]byte, error) {
 	sh := fs.shardOf(path)
 	sh.mu.RLock()
@@ -365,10 +347,11 @@ func (fs *FS) ReadAll(path string) ([]types.Tuple, error) {
 	}
 	var out []types.Tuple
 	for i := 0; i < n; i++ {
-		r, _, err := fs.OpenPartition(path, i)
+		data, err := fs.ReadPartitionRaw(path, i)
 		if err != nil {
 			return nil, err
 		}
+		r := types.NewSliceReader(data)
 		for {
 			t, err := r.Read()
 			if err == io.EOF {
@@ -453,20 +436,6 @@ func (fs *FS) TotalBytes(paths ...string) int64 {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-type sliceReader struct {
-	data []byte
-	off  int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }
 
 type writeBuffer struct{ b []byte }

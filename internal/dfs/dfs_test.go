@@ -1,12 +1,16 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -41,13 +45,14 @@ func TestCreateCommitRead(t *testing.T) {
 		t.Errorf("stat = %+v", st)
 	}
 
-	r, n, err := fs.OpenPartition("data/x", 0)
+	data, err := fs.ReadPartitionRaw("data/x", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(buf.b)) {
-		t.Errorf("partition size = %d", n)
+	if len(data) != len(buf.b) {
+		t.Errorf("partition size = %d", len(data))
 	}
+	r := types.NewSliceReader(data)
 	count := 0
 	for {
 		_, err := r.Read()
@@ -84,7 +89,7 @@ func TestErrors(t *testing.T) {
 	if err := fs.CommitPartition("f", 3, nil, 0); err == nil {
 		t.Error("commit out-of-range partition should fail")
 	}
-	if _, _, err := fs.OpenPartition("f", 9); err == nil {
+	if _, err := fs.ReadPartitionRaw("f", 9); err == nil {
 		t.Error("open out-of-range partition should fail")
 	}
 }
@@ -291,4 +296,69 @@ func TestShardLocksAreIndependent(t *testing.T) {
 	if heldV := <-heldDone; heldV <= freeV {
 		t.Errorf("held-shard write got version %d, not after the free shard's %d it was started before", heldV, freeV)
 	}
+}
+
+// aliasedRows writes rows with fresh strings to a new FS, decodes its
+// partition with the slice reader, checks that every decoded string aliases
+// the committed bytes, and returns the tuples with copies of the strings they
+// must hold. Nothing else refers to the FS, the partition slice or the
+// written strings once it returns.
+func aliasedRows(t *testing.T) ([]types.Tuple, []string) {
+	fs := New()
+	var in []types.Tuple
+	var want []string
+	for i := 0; i < 200; i++ {
+		s := fmt.Sprintf("row-%03d-%s", i, strings.Repeat("x", i%37))
+		in = append(in, types.Tuple{types.NewInt(int64(i)), types.NewString(s)})
+		want = append(want, strings.Clone(s))
+	}
+	if err := fs.WriteTuples("data/alias", types.Schema{}, in); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadPartitionRaw("data/alias", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	hi := lo + uintptr(len(data))
+	var out []types.Tuple
+	r := types.NewSliceReader(data)
+	for {
+		tu, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(tu[1].Str()))); p < lo || p >= hi {
+			t.Fatalf("row %d: string does not alias the partition bytes", len(out))
+		}
+		out = append(out, tu)
+	}
+	return out, want
+}
+
+// TestAliasedStringsSurviveGC: strings decoded in place from a partition
+// keep its bytes alive, intact, after every other reference to the FS and
+// the partition is gone and the collector has run.
+func TestAliasedStringsSurviveGC(t *testing.T) {
+	rows, want := aliasedRows(t)
+	if len(rows) != len(want) {
+		t.Fatalf("decoded %d rows, wrote %d", len(rows), len(want))
+	}
+	runtime.GC()
+	runtime.GC()
+	// Fresh allocations would land on the partition's memory had it been
+	// freed.
+	junk := make([][]byte, 64)
+	for i := range junk {
+		junk[i] = bytes.Repeat([]byte{0xAA}, 4096)
+	}
+	for i, tu := range rows {
+		if got := tu[1].Str(); got != want[i] || tu[0].Int() != int64(i) {
+			t.Fatalf("row %d = (%d, %q), want (%d, %q)", i, tu[0].Int(), got, i, want[i])
+		}
+	}
+	runtime.KeepAlive(junk)
 }

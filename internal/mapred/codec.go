@@ -130,43 +130,32 @@ func DecodeWorkflow(data []byte) (*Workflow, error) {
 // per record, a uvarint-framed EncodeTuple key, uvarint tag, uvarint seq,
 // and a uvarint-framed EncodeTuple value.
 func encodeRun(dst []byte, recs []shuffleRec) []byte {
-	var lenbuf [10]byte
 	var scratch []byte
 	for _, rec := range recs {
 		scratch = types.EncodeTuple(scratch[:0], rec.key)
-		n := putUvarint(lenbuf[:], uint64(len(scratch)))
-		dst = append(dst, lenbuf[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(scratch)))
 		dst = append(dst, scratch...)
-		n = putUvarint(lenbuf[:], uint64(rec.tag))
-		dst = append(dst, lenbuf[:n]...)
-		n = putUvarint(lenbuf[:], uint64(rec.seq))
-		dst = append(dst, lenbuf[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(rec.tag))
+		dst = binary.AppendUvarint(dst, uint64(rec.seq))
 		scratch = types.EncodeTuple(scratch[:0], rec.val)
-		n = putUvarint(lenbuf[:], uint64(len(scratch)))
-		dst = append(dst, lenbuf[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(scratch)))
 		dst = append(dst, scratch...)
 	}
 	return dst
 }
 
 // decodeRun parses an encoded shuffle run into dst, returning an error on
-// any truncation or framing damage (how a torn shuffle pull surfaces).
+// any truncation or framing damage (how a torn shuffle pull surfaces). Keys
+// and values alias data (types.DecodeRecord): a fetched run is a fresh
+// response body or a worker's retained encoding, never written again.
 func decodeRun(data []byte, dst []shuffleRec) ([]shuffleRec, error) {
 	readFramed := func() (types.Tuple, error) {
-		ln, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < ln {
-			return nil, fmt.Errorf("truncated frame")
-		}
-		buf := data[n : n+int(ln)]
-		data = data[n+int(ln):]
-		t, used, err := types.DecodeTuple(buf)
+		rec, rest, err := types.NextRecord(data)
 		if err != nil {
 			return nil, err
 		}
-		if used != len(buf) {
-			return nil, fmt.Errorf("frame has %d trailing bytes", len(buf)-used)
-		}
-		return t, nil
+		data = rest
+		return types.DecodeRecord(rec)
 	}
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(data)

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -229,31 +230,24 @@ func (e *Engine) newJobContext(job *Job) *JobContext {
 	return jc
 }
 
-// taskOutput buffers one task's writes to one store.
+// taskOutput buffers one task's writes to one store. buf becomes the
+// committed partition's bytes, which later map tasks decode in place (their
+// strings alias it), so it is never pooled or written after the commit;
+// only scratch is pooled.
 type taskOutput struct {
 	buf     []byte
 	scratch []byte
 	records int64
 }
 
+// write appends t as one record: its encoded length, then its encoding.
+// Encoding into scratch and copying costs less than measuring the tuple
+// with types.EncodedLen first, which walks a bag twice.
 func (o *taskOutput) write(t types.Tuple) {
 	o.scratch = types.EncodeTuple(o.scratch[:0], t)
-	var lenbuf [10]byte
-	n := putUvarint(lenbuf[:], uint64(len(o.scratch)))
-	o.buf = append(o.buf, lenbuf[:n]...)
+	o.buf = binary.AppendUvarint(o.buf, uint64(len(o.scratch)))
 	o.buf = append(o.buf, o.scratch...)
 	o.records++
-}
-
-func putUvarint(buf []byte, x uint64) int {
-	i := 0
-	for x >= 0x80 {
-		buf[i] = byte(x) | 0x80
-		x >>= 7
-		i++
-	}
-	buf[i] = byte(x)
-	return i + 1
 }
 
 // runMapPhase executes all map tasks through the TaskRunner (bounded

@@ -42,8 +42,8 @@ func putRecSlice(s []shuffleRec) {
 	recSlicePool.Put(&s)
 }
 
-// scratchPool recycles the per-task encode scratch buffers (shuffle byte
-// accounting and store framing).
+// scratchPool recycles the per-task encode scratch buffers (store framing).
+// A scratch buffer is copied into the task's output, never committed.
 var scratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

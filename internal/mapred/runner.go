@@ -1,7 +1,6 @@
 package mapred
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -223,12 +222,11 @@ func (ft fetchTransport) FetchRuns(ctx context.Context, refs []RunRef) ([][]shuf
 type localRunner struct{ e *Engine }
 
 func (lr localRunner) RunMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec) (*MapResult, error) {
-	load := jc.Job.Plan.Op(spec.LoadID)
-	r, nbytes, err := lr.e.FS.OpenPartition(load.Path, spec.Partition)
+	input, err := lr.e.FS.ReadPartitionRaw(jc.Job.Plan.Op(spec.LoadID).Path, spec.Partition)
 	if err != nil {
 		return nil, err
 	}
-	return execMapTask(ctx, jc, spec, r, nbytes)
+	return ExecMapTask(ctx, jc, spec, input)
 }
 
 func (lr localRunner) RunReducePartition(ctx context.Context, jc *JobContext, part int, refs []RunRef) (*ReduceResult, error) {
@@ -245,7 +243,6 @@ type shuffleEmitter struct {
 	acc        *combAccumulator
 	seq        int64
 	taskBase   int64
-	scratch    []byte
 	keyScratch types.Tuple
 	shuffleLen int64
 	runHint    int
@@ -257,7 +254,6 @@ func newShuffleEmitter(jc *JobContext, taskIdx int) *shuffleEmitter {
 		blocking: jc.Job.Blocking(),
 		shuffle:  make([][]shuffleRec, jc.ReduceParts),
 		taskBase: int64(taskIdx) << 32,
-		scratch:  getScratch(),
 		runHint:  int(jc.hint.Load()),
 	}
 	if jc.comb != nil {
@@ -281,10 +277,7 @@ func (em *shuffleEmitter) collect(tag int, key, val types.Tuple) {
 	}
 	em.push(r, shuffleRec{key: key, tag: tag, seq: em.taskBase | em.seq, val: val})
 	em.seq++
-	em.scratch = types.EncodeTuple(em.scratch[:0], key)
-	em.shuffleLen += int64(len(em.scratch))
-	em.scratch = types.EncodeTuple(em.scratch[:0], val)
-	em.shuffleLen += int64(len(em.scratch))
+	em.shuffleLen += int64(types.EncodedLen(key) + types.EncodedLen(val))
 }
 
 func (em *shuffleEmitter) emit(tag int, t types.Tuple) error {
@@ -316,7 +309,6 @@ func (em *shuffleEmitter) finish(taskIdx int) []RunRef {
 	for r := range em.shuffle {
 		sortRun(em.jc.cmp, em.shuffle[r])
 	}
-	putScratch(em.scratch)
 	var refs []RunRef
 	for r, run := range em.shuffle {
 		if len(run) == 0 {
@@ -327,10 +319,14 @@ func (em *shuffleEmitter) finish(taskIdx int) []RunRef {
 	return refs
 }
 
-// execMapTask streams one input partition through the map-side pipeline,
-// buffering per-store outputs and shuffle runs. It is the task body shared
-// by the in-process runner and remote workers (via ExecMapTask).
-func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types.Reader, inputBytes int64) (*MapResult, error) {
+// ExecMapTask streams one input partition — raw bytes in the DFS partition
+// wire format — through the map-side pipeline, buffering per-store outputs
+// and shuffle runs. It is the task body of the in-process runner, which
+// passes the committed partition's bytes (FS.ReadPartitionRaw), and of
+// remote workers, which pass the bytes the coordinator shipped. Decoded
+// strings alias input (types.NewSliceReader), so input must never be
+// written again; InputBytes is charged as its length.
+func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []byte) (*MapResult, error) {
 	if jc.mapHook != nil {
 		if err := jc.mapHook(ctx, spec.TaskIdx); err != nil {
 			return nil, err
@@ -370,6 +366,7 @@ func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types
 
 	// Stream the input partition through the pipeline, checking for
 	// cancellation every batch of records.
+	r := types.NewSliceReader(input)
 	n := 0
 	for {
 		t, err := r.Read()
@@ -389,7 +386,7 @@ func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types
 		}
 	}
 
-	mr := &MapResult{Stores: make(map[string]StorePart, len(outs)), InputBytes: inputBytes}
+	mr := &MapResult{Stores: make(map[string]StorePart, len(outs)), InputBytes: int64(len(input))}
 	for path, out := range outs {
 		mr.Stores[path] = StorePart{Data: out.buf, Records: out.records}
 		putScratch(out.scratch)
@@ -401,14 +398,6 @@ func execMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, r *types
 	return mr, nil
 }
 
-// ExecMapTask runs one map task body over raw input partition bytes (the
-// DFS partition wire format). Worker processes call it with bytes shipped by
-// the coordinator; InputBytes is charged as the payload length, matching the
-// in-process OpenPartition accounting.
-func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []byte) (*MapResult, error) {
-	return execMapTask(ctx, jc, spec, types.NewReader(bytes.NewReader(input)), int64(len(input)))
-}
-
 // ReplayMapTask rebuilds one lost map task's sorted shuffle runs from the
 // task's already-materialized injected store partitions instead of re-running
 // the map pipeline — ReStore's reuse-as-recovery path. stored maps each
@@ -417,7 +406,8 @@ func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []
 // resolves Split transparency and partition indices). Per-tag relative order
 // equals the original emission order, and the (key, tag, seq) shuffle order
 // only distinguishes seq within one (key, tag) pair, so the rebuilt runs
-// merge into byte-identical reduce output.
+// merge into byte-identical reduce output. Decoded strings alias the stored
+// payloads, as in ExecMapTask.
 func ReplayMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, stored map[int][]byte) (*MapResult, error) {
 	blocking := jc.Job.Blocking()
 	if blocking == nil {
@@ -429,7 +419,7 @@ func ReplayMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, stored
 		if !ok {
 			return nil, fmt.Errorf("mapred: replay task %d of job %s: no stored input for tag %d", spec.TaskIdx, jc.Job.ID, tag)
 		}
-		rd := types.NewReader(bytes.NewReader(data))
+		rd := types.NewSliceReader(data)
 		n := 0
 		for {
 			t, err := rd.Read()

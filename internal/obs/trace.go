@@ -12,9 +12,10 @@ import (
 // parse → hot → queue → lease → evict → match → plan → execute → store
 // (→ rows), a fast-path-served query's are parse → hot (→ rows), and a
 // deduped submission's are parse → flight-wait (→ rows). The server's
-// trace e2e test pins that the spans account for >= 95% of the measured
-// request time, so any new await added to the query path must either live
-// inside an existing stage or add its own.
+// trace e2e test pins that a leader's spans are all present, in that order,
+// and never overlap, so any new await added to the query path must either
+// live inside an existing stage or add its own; the benchmark measures how
+// much of the request time they cover.
 type Stage uint8
 
 // Stage values, in query-lifecycle order.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // The binary codec is the storage and shuffle format. Layout per value:
@@ -20,8 +22,10 @@ import (
 //	  tuple           -> uvarint arity + values
 //	  bag             -> uvarint count + tuples (each as a tuple payload)
 //
-// A record on disk is one tuple value. Records are length-prefixed so a
-// reader can skip without decoding.
+// A record (a partition or store payload entry) is one tuple, framed by a
+// uvarint length prefix: NextRecord splits records off a payload without
+// decoding them, and a reader rejects a record whose tuple leaves bytes of
+// its frame unused.
 
 // EncodeTuple appends the binary encoding of t to dst and returns it.
 func EncodeTuple(dst []byte, t Tuple) []byte {
@@ -57,9 +61,88 @@ func encodeValue(dst []byte, v Value) []byte {
 	return dst
 }
 
+// EncodedLen returns len(EncodeTuple(nil, t)) without encoding anything.
+func EncodedLen(t Tuple) int {
+	n := uvarintLen(uint64(len(t)))
+	for i := range t {
+		n += encodedValueLen(&t[i])
+	}
+	return n
+}
+
+func encodedValueLen(v *Value) int {
+	switch v.kind {
+	case KindBool:
+		return 2
+	case KindInt:
+		x := v.integer()
+		return 1 + uvarintLen(uint64(x<<1)^uint64(x>>63))
+	case KindFloat:
+		return 9
+	case KindString:
+		return 1 + uvarintLen(v.w) + int(v.w)
+	case KindTuple:
+		return 1 + EncodedLen(v.tuple())
+	case KindBag:
+		bag := v.bag()
+		n := 1 + uvarintLen(uint64(len(bag.Tuples)))
+		for _, t := range bag.Tuples {
+			n += EncodedLen(t)
+		}
+		return n
+	default:
+		return 1
+	}
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// NextRecord splits the first length-prefixed record off data: rec is the
+// record's encoded tuple and rest the bytes after it. It decodes nothing,
+// and fails when the prefix is corrupt or declares more bytes than follow.
+func NextRecord(data []byte) (rec, rest []byte, err error) {
+	l, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("types: corrupt record length")
+	}
+	if l > uint64(len(data)-n) {
+		return nil, nil, fmt.Errorf("types: short record: %w", io.ErrUnexpectedEOF)
+	}
+	end := n + int(l)
+	return data[n:end], data[end:], nil
+}
+
+// DecodeRecord decodes a record NextRecord split off, which must hold
+// exactly one tuple. String values alias rec instead of copying it, so rec
+// must never be written again: committed DFS partitions, fleet request
+// bodies and pulled shuffle runs are all written once.
+func DecodeRecord(rec []byte) (Tuple, error) { return decodeRecord(rec, true) }
+
+// decodeRecord decodes one record's tuple and rejects unused frame bytes;
+// alias selects whether strings alias rec or are copied out of it.
+func decodeRecord(rec []byte, alias bool) (Tuple, error) {
+	t, used, err := decodeTuple(rec, alias)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(rec) {
+		return nil, trailingBytes(len(rec) - used)
+	}
+	return t, nil
+}
+
+func trailingBytes(n int) error {
+	return fmt.Errorf("types: record has %d trailing bytes", n)
+}
+
 // DecodeTuple decodes one tuple from buf, returning the tuple and the number
-// of bytes consumed.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
+// of bytes consumed. Strings are copied: buf may be reused afterwards.
+func DecodeTuple(buf []byte) (Tuple, int, error) { return decodeTuple(buf, false) }
+
+// decodeTuple is the one tuple decoder. With alias set, string values point
+// into buf (unsafe.String) instead of copying it.
+func decodeTuple(buf []byte, alias bool) (Tuple, int, error) {
 	arity, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("types: corrupt tuple arity")
@@ -72,7 +155,7 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	}
 	t := make(Tuple, arity)
 	for i := range t {
-		v, n, err := decodeValue(buf[off:])
+		v, n, err := decodeValue(buf[off:], alias)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -82,7 +165,7 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	return t, off, nil
 }
 
-func decodeValue(buf []byte) (Value, int, error) {
+func decodeValue(buf []byte, alias bool) (Value, int, error) {
 	if len(buf) == 0 {
 		return Value{}, 0, io.ErrUnexpectedEOF
 	}
@@ -117,9 +200,13 @@ func decodeValue(buf []byte) (Value, int, error) {
 		if uint64(len(buf)-off) < l {
 			return Value{}, 0, io.ErrUnexpectedEOF
 		}
-		return NewString(string(buf[off : off+int(l)])), off + int(l), nil
+		end := off + int(l)
+		if !alias || l == 0 {
+			return NewString(string(buf[off:end])), end, nil
+		}
+		return NewString(unsafe.String(&buf[off], int(l))), end, nil
 	case KindTuple:
-		t, n, err := DecodeTuple(buf[off:])
+		t, n, err := decodeTuple(buf[off:], alias)
 		if err != nil {
 			return Value{}, 0, err
 		}
@@ -135,7 +222,7 @@ func decodeValue(buf []byte) (Value, int, error) {
 		}
 		bag := &Bag{Tuples: make([]Tuple, 0, count)}
 		for i := uint64(0); i < count; i++ {
-			t, n, err := DecodeTuple(buf[off:])
+			t, n, err := decodeTuple(buf[off:], alias)
 			if err != nil {
 				return Value{}, 0, err
 			}
@@ -217,8 +304,33 @@ func (r *Reader) Read() (Tuple, error) {
 		}
 	}
 	r.scratch = buf
-	t, _, err := DecodeTuple(buf)
-	return t, err
+	return decodeRecord(buf, false)
+}
+
+// SliceReader reads length-prefixed records straight out of an in-memory
+// payload, with no buffering and no copy: each tuple's strings alias the
+// payload (DecodeRecord), which must never be written again.
+type SliceReader struct{ data []byte }
+
+// NewSliceReader returns a record reader over data.
+func NewSliceReader(data []byte) *SliceReader { return &SliceReader{data: data} }
+
+// Read returns the next tuple or io.EOF. It fails on the record Reader.Read
+// fails on.
+func (r *SliceReader) Read() (Tuple, error) {
+	if len(r.data) == 0 {
+		return nil, io.EOF
+	}
+	rec, rest, err := NextRecord(r.data)
+	if err != nil {
+		return nil, err
+	}
+	t, err := DecodeRecord(rec)
+	if err != nil {
+		return nil, err
+	}
+	r.data = rest
+	return t, nil
 }
 
 // HashTuple returns a stable 64-bit hash of the tuple, used to partition

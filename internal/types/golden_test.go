@@ -45,19 +45,24 @@ func edgeTuples() []Tuple {
 	}
 }
 
-// goldenText renders one line per tuple — the edge tuples, then 500 seeded
-// random ones — with its EncodeTuple hex, HashTuple, the sign of
-// CompareTuples against the previous tuple, String() and MarshalJSON (or
-// its error).
-func goldenText() string {
+// goldenTuples are the golden's tuples: the edge tuples, then 500 seeded
+// random ones.
+func goldenTuples() []Tuple {
 	tuples := edgeTuples()
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		tuples = append(tuples, randomTuple(r, 2))
 	}
+	return tuples
+}
+
+// goldenText renders one line per golden tuple with its EncodeTuple hex,
+// HashTuple, the sign of CompareTuples against the previous tuple, String()
+// and MarshalJSON (or its error).
+func goldenText() string {
 	var sb strings.Builder
 	var prev Tuple
-	for i, tu := range tuples {
+	for i, tu := range goldenTuples() {
 		js, err := NewTuple(tu).MarshalJSON()
 		if err != nil {
 			js = []byte("error: " + err.Error())

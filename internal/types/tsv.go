@@ -33,22 +33,21 @@ func AppendTSV(dst, buf []byte) ([]byte, int, error) {
 // end offset in dst of each line to ends. It fails on the record Reader.Read
 // fails on; dst and ends then hold the lines of the records before it.
 func AppendRecordsTSV(dst []byte, ends []int, payload []byte) ([]byte, []int, error) {
-	for off := 0; off < len(payload); {
-		l, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return dst, ends, fmt.Errorf("types: corrupt record length")
-		}
-		off += n
-		if l > uint64(len(payload)-off) {
-			return dst, ends, fmt.Errorf("types: short record: %w", io.ErrUnexpectedEOF)
-		}
-		line, _, err := AppendTSV(dst, payload[off:off+int(l)])
+	for len(payload) > 0 {
+		rec, rest, err := NextRecord(payload)
 		if err != nil {
 			return dst, ends, err
 		}
+		line, n, err := AppendTSV(dst, rec)
+		if err != nil {
+			return dst, ends, err
+		}
+		if n != len(rec) {
+			return dst, ends, trailingBytes(len(rec) - n)
+		}
 		dst = line
 		ends = append(ends, len(dst))
-		off += int(l)
+		payload = rest
 	}
 	return dst, ends, nil
 }

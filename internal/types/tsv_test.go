@@ -37,8 +37,9 @@ func recordsOf(tuples ...Tuple) []byte {
 }
 
 // FuzzRecordsTSV treats arbitrary bytes as a partition payload. The read-back
-// kernel (AppendRecordsTSV) and the decoding reader (Reader.Read, then
-// FormatTSV) must produce the same lines and fail on the same record.
+// kernel (AppendRecordsTSV), the stream reader (Reader.Read, then FormatTSV)
+// and the slice reader (SliceReader.Read, then FormatTSV) must produce the
+// same lines and fail on the same record.
 func FuzzRecordsTSV(f *testing.F) {
 	f.Add(recordsOf(hostileTuples...))
 	for _, t := range hostileTuples {
@@ -49,34 +50,40 @@ func FuzzRecordsTSV(f *testing.F) {
 	}
 	// A good record, then a corrupt one: the first line must survive.
 	f.Add(append(recordsOf(hostileTuples[1]), corruptLengthRecords["len_1TiB"]...))
+	// A good record, then one whose tuple leaves a byte of its frame unused.
+	f.Add(append(recordsOf(hostileTuples[1]), trailingRecord(hostileTuples[5])...))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		text, ends, err := AppendRecordsTSV(nil, nil, payload)
-		var want []string
-		var werr error
-		r := NewReader(bytes.NewReader(payload))
-		for {
-			tu, err := r.Read()
-			if err == io.EOF {
-				break
+		for name, r := range map[string]interface{ Read() (Tuple, error) }{
+			"Reader":      NewReader(bytes.NewReader(payload)),
+			"SliceReader": NewSliceReader(payload),
+		} {
+			var want []string
+			var werr error
+			for {
+				tu, err := r.Read()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					werr = err
+					break
+				}
+				want = append(want, FormatTSV(tu))
 			}
-			if err != nil {
-				werr = err
-				break
+			if (err == nil) != (werr == nil) || len(ends) != len(want) {
+				t.Fatalf("kernel: %d lines, err %v; %s: %d lines, err %v", len(ends), err, name, len(want), werr)
 			}
-			want = append(want, FormatTSV(tu))
-		}
-		if (err == nil) != (werr == nil) || len(ends) != len(want) {
-			t.Fatalf("kernel: %d lines, err %v; reader: %d lines, err %v", len(ends), err, len(want), werr)
-		}
-		start := 0
-		for i, end := range ends {
-			if got := string(text[start:end]); got != want[i] {
-				t.Fatalf("line %d: kernel %q, FormatTSV %q", i, got, want[i])
+			start := 0
+			for i, end := range ends {
+				if got := string(text[start:end]); got != want[i] {
+					t.Fatalf("line %d: kernel %q, %s then FormatTSV %q", i, got, name, want[i])
+				}
+				start = end
 			}
-			start = end
-		}
-		if start != len(text) {
-			t.Fatalf("%d bytes past the last line", len(text)-start)
+			if start != len(text) {
+				t.Fatalf("%d bytes past the last line", len(text)-start)
+			}
 		}
 	})
 }
