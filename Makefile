@@ -94,11 +94,14 @@ race-shard:
 # types.Value layout tests; and the aliasing decode's tests (the aliasing vs
 # copying differential corpus, strings surviving the collector once only
 # they hold a partition, and an L3 workflow in process and through a fleet
-# leaving every partition it read intact). -race checks their unsafe
+# leaving every partition it read intact); and the exact-size outputs'
+# tests (a later job, taking the pooled framing buffers, leaves every
+# committed partition intact; Bag.Add on one Group or CoGroup bag window
+# leaves its neighbours intact). -race checks their unsafe
 # conversions with checkptr. Runs twice under the detector: map and reduce
 # pool interleavings differ per run.
 race-engine:
-	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors' ./internal/mapred
+	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors|TestCommittedPayloadsArePrivate|TestBagWindowsAreIsolated' ./internal/mapred
 	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
 
 # The fleet backend battery: the backend differential (the worker fleet
@@ -126,8 +129,9 @@ race-fleet:
 #           the row read-back from stored bytes to reply bytes
 #   shard   the all-disjoint round on a single-domain core vs an 8-shard one
 #   engine  the reduce-side ordering kernel (concat + stable sort over the
-#           closure-chain reference order vs sorted runs + k-way merge) and
-#           the whole order job on the data plane
+#           closure-chain reference order vs sorted runs + k-way merge),
+#           the whole order job on the data plane, and a Group whose
+#           output is stored and then folded (store framing, bag building)
 #   fleet   a grouped-aggregate query stream through a two-worker HTTP fleet
 #   types   the tuple codec and order on the Value layout: encode, decode
 #           (a narrow row and a 9-column page_views-shaped row) and
@@ -145,7 +149,7 @@ BENCH_RE_hot     := BenchmarkServerHot
 BENCH_PKG_shard  := ./internal/server
 BENCH_RE_shard   := BenchmarkServerShard
 BENCH_PKG_engine := ./internal/mapred
-BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob
+BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob|BenchmarkReduceGroupStore
 BENCH_PKG_fleet  := ./internal/fleet
 BENCH_RE_fleet   := BenchmarkFleet
 BENCH_PKG_types  := ./internal/types

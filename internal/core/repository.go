@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -570,23 +571,23 @@ func (u EntryUsage) Touch() int64 {
 	return u.CreatedSeq
 }
 
-// UsageSnapshot returns the usage metadata of every entry, in insertion
-// order.
-func (r *Repository) UsageSnapshot() []EntryUsage {
+// AppendUsage appends the usage metadata of every entry to dst, in
+// insertion order, and returns the extended slice.
+func (r *Repository) AppendUsage(dst []EntryUsage) []EntryUsage {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]EntryUsage, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = EntryUsage{
+	dst = slices.Grow(dst, len(r.entries))
+	for _, e := range r.entries {
+		dst = append(dst, EntryUsage{
 			ID:          e.ID,
 			OutputPath:  e.OutputPath,
 			OutputBytes: e.OutputBytes,
 			OwnsFile:    e.OwnsFile,
 			CreatedSeq:  e.CreatedSeq,
 			LastUsedSeq: e.LastUsedSeq,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // OutputRecord tracks one user-named query output for the §5

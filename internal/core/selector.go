@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -372,7 +375,7 @@ func (s *Selector) EvictPaths(nowSeq int64, paths []string, st *EvictStats) ([]s
 
 // EvictWindowBudget applies the sequence-driven policies: the Rule-3 window
 // and the size budget. Both passes scan only the repository's in-memory
-// usage metadata (UsageSnapshot — no DFS probes), so they stay cheap even
+// usage metadata (AppendUsage — no DFS probes), so they stay cheap even
 // per query. Budget eviction removes least-recently-used-by-sequence
 // entries until total stored bytes fit; entries pinned by in-flight
 // executions are skipped by RemoveIfIdle and never evicted. st may be nil.
@@ -387,7 +390,10 @@ func (s *Selector) EvictWindowBudget(nowSeq int64, st *EvictStats) ([]string, er
 	var errs []error
 	var evicted []string
 	gone := make(map[string]bool)
-	us := s.Repo.UsageSnapshot()
+	usp := usagePool.Get().(*[]EntryUsage)
+	defer putUsage(usp)
+	us := s.Repo.AppendUsage((*usp)[:0])
+	*usp = us
 	if w > 0 {
 		for _, u := range us {
 			st.Scans++
@@ -411,11 +417,11 @@ func (s *Selector) EvictWindowBudget(nowSeq int64, st *EvictStats) ([]string, er
 				owned = append(owned, u)
 			}
 		}
-		sort.Slice(owned, func(i, j int) bool {
-			if ti, tj := owned[i].Touch(), owned[j].Touch(); ti != tj {
-				return ti < tj
+		slices.SortFunc(owned, func(a, b EntryUsage) int {
+			if c := cmp.Compare(a.Touch(), b.Touch()); c != 0 {
+				return c
 			}
-			return owned[i].ID < owned[j].ID
+			return strings.Compare(a.ID, b.ID)
 		})
 		var total int64
 		for _, u := range owned {
@@ -435,6 +441,19 @@ func (s *Selector) EvictWindowBudget(nowSeq int64, st *EvictStats) ([]string, er
 		}
 	}
 	return evicted, errors.Join(errs...)
+}
+
+// usagePool holds the usage buffers EvictWindowBudget scans, so a pass
+// per query does not copy the repository's metadata into a fresh slice.
+// Concurrent passes each take their own buffer.
+var usagePool = sync.Pool{New: func() any { return new([]EntryUsage) }}
+
+// putUsage clears a usage buffer, so it pins no entry ID or path, and
+// returns it to usagePool.
+func putUsage(p *[]EntryUsage) {
+	clear(*p)
+	*p = (*p)[:0]
+	usagePool.Put(p)
 }
 
 // RetentionCandidates returns the tracked user-named outputs the §5

@@ -369,27 +369,12 @@ func (fs *FS) ReadAll(path string) ([]types.Tuple, error) {
 // WriteTuples creates a single-partition file holding the given tuples.
 // Convenience for tests and data generators.
 func (fs *FS) WriteTuples(path string, schema types.Schema, tuples []types.Tuple) error {
-	if _, err := fs.Create(path, 1); err != nil {
-		return err
-	}
-	var buf writeBuffer
-	w := types.NewWriter(&buf)
-	for _, t := range tuples {
-		if err := w.Write(t); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := fs.CommitPartition(path, 0, buf.b, w.Records); err != nil {
-		return err
-	}
-	return fs.SetSchema(path, schema)
+	return fs.WritePartitioned(path, schema, tuples, 1)
 }
 
 // WritePartitioned creates a file with the tuples spread round-robin over n
 // partitions, so the MapReduce engine schedules n map tasks against it.
+// One types.Framer frames every partition in turn.
 func (fs *FS) WritePartitioned(path string, schema types.Schema, tuples []types.Tuple, n int) error {
 	if n < 1 {
 		n = 1
@@ -397,21 +382,14 @@ func (fs *FS) WritePartitioned(path string, schema types.Schema, tuples []types.
 	if _, err := fs.Create(path, n); err != nil {
 		return err
 	}
-	bufs := make([]writeBuffer, n)
-	ws := make([]*types.Writer, n)
-	for i := range ws {
-		ws[i] = types.NewWriter(&bufs[i])
-	}
-	for i, t := range tuples {
-		if err := ws[i%n].Write(t); err != nil {
-			return err
+	var f types.Framer
+	defer f.Release()
+	for i := 0; i < n; i++ {
+		for j := i; j < len(tuples); j += n {
+			f.Write(tuples[j])
 		}
-	}
-	for i := range ws {
-		if err := ws[i].Flush(); err != nil {
-			return err
-		}
-		if err := fs.CommitPartition(path, i, bufs[i].b, ws[i].Records); err != nil {
+		data, records := f.Take()
+		if err := fs.CommitPartition(path, i, data, records); err != nil {
 			return err
 		}
 	}
@@ -436,11 +414,4 @@ func (fs *FS) TotalBytes(paths ...string) int64 {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-type writeBuffer struct{ b []byte }
-
-func (w *writeBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -24,24 +24,20 @@ func TestCreateCommitRead(t *testing.T) {
 	if _, err := fs.Create("data/x", 2); err != nil {
 		t.Fatal(err)
 	}
-	var buf writeBuffer
-	w := types.NewWriter(&buf)
+	var f types.Framer
+	defer f.Release()
 	for i := int64(0); i < 5; i++ {
-		if err := w.Write(tupleN(i)); err != nil {
-			t.Fatal(err)
-		}
+		f.Write(tupleN(i))
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CommitPartition("data/x", 0, buf.b, 5); err != nil {
+	buf, recs := f.Take()
+	if err := fs.CommitPartition("data/x", 0, buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	st, err := fs.StatFile("data/x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != 5 || st.Partitions != 2 || st.Bytes != int64(len(buf.b)) {
+	if st.Records != 5 || st.Partitions != 2 || st.Bytes != int64(len(buf)) {
 		t.Errorf("stat = %+v", st)
 	}
 
@@ -49,7 +45,7 @@ func TestCreateCommitRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != len(buf.b) {
+	if len(data) != len(buf) {
 		t.Errorf("partition size = %d", len(data))
 	}
 	r := types.NewSliceReader(data)
@@ -208,19 +204,13 @@ func TestConcurrentCommits(t *testing.T) {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			var buf writeBuffer
-			w := types.NewWriter(&buf)
+			var f types.Framer
+			defer f.Release()
 			for j := 0; j < 100; j++ {
-				if err := w.Write(tupleN(int64(idx*100 + j))); err != nil {
-					t.Error(err)
-					return
-				}
+				f.Write(tupleN(int64(idx*100 + j)))
 			}
-			if err := w.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fs.CommitPartition("conc", idx, buf.b, 100); err != nil {
+			buf, recs := f.Take()
+			if err := fs.CommitPartition("conc", idx, buf, recs); err != nil {
 				t.Error(err)
 			}
 		}(i)

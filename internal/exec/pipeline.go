@@ -165,24 +165,33 @@ func EvalForeach(op *physical.Operator, t types.Tuple) (types.Tuple, error) {
 func applyNested(def physical.NestedDef, in *types.Bag) types.Value {
 	switch def.Op {
 	case "distinct":
+		// Dedupe the sorted copy in place, keeping the first tuple of
+		// each run of neighbours that compare equal.
 		sorted := make([]types.Tuple, len(in.Tuples))
 		copy(sorted, in.Tuples)
 		sort.Slice(sorted, func(i, j int) bool { return types.CompareTuples(sorted[i], sorted[j]) < 0 })
-		out := &types.Bag{}
+		n := 0
+		var prev types.Tuple
 		for i, tu := range sorted {
-			if i == 0 || types.CompareTuples(tu, sorted[i-1]) != 0 {
-				out.Add(tu)
+			if i == 0 || types.CompareTuples(tu, prev) != 0 {
+				sorted[n] = tu
+				n++
 			}
+			prev = tu
 		}
-		return types.NewBag(out)
+		return types.NewBag(&types.Bag{Tuples: sorted[:n]})
 	case "filter":
-		out := &types.Bag{}
+		if def.Pred == nil {
+			return types.NewBag(&types.Bag{})
+		}
+		// Sized to the input once: the bag never grows through appends.
+		kept := make([]types.Tuple, 0, len(in.Tuples))
 		for _, tu := range in.Tuples {
-			if def.Pred != nil && def.Pred.Eval(tu).Truthy() {
-				out.Add(tu)
+			if def.Pred.Eval(tu).Truthy() {
+				kept = append(kept, tu)
 			}
 		}
-		return types.NewBag(out)
+		return types.NewBag(&types.Bag{Tuples: kept})
 	default: // "ident"
 		return types.NewBag(in)
 	}

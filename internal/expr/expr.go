@@ -598,13 +598,22 @@ func (e *Expr) Eval(t types.Tuple) types.Value {
 		if base.Kind() != types.KindBag {
 			return types.Null()
 		}
-		out := &types.Bag{}
-		for _, row := range base.Bag().Tuples {
-			if e.Index >= 0 && e.Index < len(row) {
-				out.Add(types.Tuple{row[e.Index]})
+		if e.Index < 0 {
+			return types.NewBag(&types.Bag{})
+		}
+		rows := base.Bag().Tuples
+		// One allocation for the spines and one for the values: each
+		// 1-column tuple is a window of vals whose capacity ends with it.
+		tuples := make([]types.Tuple, 0, len(rows))
+		vals := make([]types.Value, len(rows))
+		for _, row := range rows {
+			if e.Index < len(row) {
+				i := len(tuples)
+				vals[i] = row[e.Index]
+				tuples = append(tuples, vals[i:i+1:i+1])
 			}
 		}
-		return types.NewBag(out)
+		return types.NewBag(&types.Bag{Tuples: tuples})
 	default:
 		return types.Null()
 	}

@@ -2,7 +2,6 @@ package mapred
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -230,26 +229,6 @@ func (e *Engine) newJobContext(job *Job) *JobContext {
 	return jc
 }
 
-// taskOutput buffers one task's writes to one store. buf becomes the
-// committed partition's bytes, which later map tasks decode in place (their
-// strings alias it), so it is never pooled or written after the commit;
-// only scratch is pooled.
-type taskOutput struct {
-	buf     []byte
-	scratch []byte
-	records int64
-}
-
-// write appends t as one record: its encoded length, then its encoding.
-// Encoding into scratch and copying costs less than measuring the tuple
-// with types.EncodedLen first, which walks a bag twice.
-func (o *taskOutput) write(t types.Tuple) {
-	o.scratch = types.EncodeTuple(o.scratch[:0], t)
-	o.buf = binary.AppendUvarint(o.buf, uint64(len(o.scratch)))
-	o.buf = append(o.buf, o.scratch...)
-	o.records++
-}
-
 // runMapPhase executes all map tasks through the TaskRunner (bounded
 // parallelism for the in-process runner; remote runners impose their own),
 // commits the map-side store partitions deterministically, and returns each
@@ -438,6 +417,17 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 		return nil
 	}
 
+	// Every Group and CoGroup bag is a window of one arena holding the
+	// partition's values in shuffle order: a key's records are contiguous,
+	// and so are its records of one tag. Each window's capacity ends where
+	// it does, so a later Bag.Add copies instead of overwriting the next.
+	var arena []types.Tuple
+	if b.Kind == physical.OpGroup || b.Kind == physical.OpCoGroup {
+		arena = make([]types.Tuple, len(recs))
+		for i := range recs {
+			arena[i] = recs[i].val
+		}
+	}
 	for start := 0; start < len(recs); {
 		end := start + 1
 		for end < len(recs) && types.CompareTuples(recs[end].key, recs[start].key) == 0 {
@@ -450,10 +440,7 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 				return err
 			}
 		case physical.OpGroup:
-			bag := &types.Bag{}
-			for _, rec := range run {
-				bag.Add(rec.val)
-			}
+			bag := &types.Bag{Tuples: arena[start:end:end]}
 			if err := emit(types.Tuple{groupValue(b, run[0].key), types.NewBag(bag)}); err != nil {
 				return err
 			}
@@ -466,16 +453,20 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 					tag := run[from].tag
 					to = from + sort.Search(len(run)-from, func(i int) bool { return run[from+i].tag > tag })
 				}
-				bags := make([]*types.Bag, len(b.Inputs))
-				for i := range bags {
-					bags[i] = &types.Bag{}
-				}
-				for _, rec := range run[from:to] {
-					bags[rec.tag].Add(rec.val)
-				}
-				out := types.Tuple{groupValue(b, run[from].key)}
-				for _, bag := range bags {
-					out = append(out, types.NewBag(bag))
+				out := make(types.Tuple, 1+len(b.Inputs))
+				out[0] = groupValue(b, run[from].key)
+				s := from
+				for tag := range b.Inputs {
+					e := s
+					for e < to && run[e].tag == tag {
+						e++
+					}
+					bag := &types.Bag{}
+					if e > s {
+						bag.Tuples = arena[start+s : start+e : start+e]
+					}
+					out[1+tag] = types.NewBag(bag)
+					s = e
 				}
 				if err := emit(out); err != nil {
 					return err

@@ -139,3 +139,21 @@ func BenchmarkEngineOrderJob(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkReduceGroupStore runs the shape the Aggressive heuristic gives
+// PigMix L6 (groupStoreJob): the load stored map-side, every group's bag
+// built, stored reduce-side and folded by a Foreach. Its B/op is what
+// store framing and bag construction allocate.
+func BenchmarkReduceGroupStore(b *testing.B) {
+	fs := dfs.New()
+	writeViews(b, fs, "bench/views", 40_000, 2_000, 12, 8)
+	job := groupStoreJob(b, "bench/views", "bench")
+	e := NewEngine(fs, cluster.Default())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunJob(context.Background(), job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -42,27 +42,6 @@ func putRecSlice(s []shuffleRec) {
 	recSlicePool.Put(&s)
 }
 
-// scratchPool recycles the per-task encode scratch buffers (store framing).
-// A scratch buffer is copied into the task's output, never committed.
-var scratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// getScratch returns an empty encode scratch buffer.
-func getScratch() []byte { return (*scratchPool.Get().(*[]byte))[:0] }
-
-// putScratch pools an encode scratch buffer for reuse.
-func putScratch(b []byte) {
-	if cap(b) == 0 || cap(b) > 1<<20 {
-		return
-	}
-	b = b[:0]
-	scratchPool.Put(&b)
-}
-
 // mergeRuns merges pre-sorted shuffle runs into dst in comparator order —
 // the O(n log k) reduce-side merge of the Hadoop shuffle. Because the
 // comparator is a strict total order (seq is globally unique), the merge of

@@ -335,16 +335,10 @@ func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []
 	pipe := exec.NewPipeline(jc.Job.Plan, jc.Job.mapSide)
 
 	// Wire map-side stores: every task owns one partition of each.
-	outs := make(map[string]*taskOutput, len(jc.mapStores))
-	for _, st := range jc.mapStores {
-		out := &taskOutput{scratch: getScratch()}
-		outs[st.Path] = out
-		if err := pipe.SetOutput(st.ID, func(t types.Tuple) error {
-			out.write(t)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	outs, err := wireStores(pipe, jc.mapStores)
+	defer releaseStores(outs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Wire shuffle collectors on the producers feeding the blocking op.
@@ -386,11 +380,7 @@ func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []
 		}
 	}
 
-	mr := &MapResult{Stores: make(map[string]StorePart, len(outs)), InputBytes: int64(len(input))}
-	for path, out := range outs {
-		mr.Stores[path] = StorePart{Data: out.buf, Records: out.records}
-		putScratch(out.scratch)
-	}
+	mr := &MapResult{Stores: takeStores(outs), InputBytes: int64(len(input))}
 	if em != nil {
 		mr.Runs = em.finish(spec.TaskIdx)
 		mr.ShuffleBytes = em.shuffleLen
@@ -478,16 +468,10 @@ func ExecReducePartition(ctx context.Context, jc *JobContext, part int, refs []R
 func execReduceBody(jc *JobContext, part int, recs []shuffleRec) (*ReduceResult, error) {
 	blocking := jc.Job.Blocking()
 	pipe := exec.NewPipeline(jc.Job.Plan, jc.include)
-	outs := make(map[string]*taskOutput, len(jc.reduceStores))
-	for _, st := range jc.reduceStores {
-		out := &taskOutput{scratch: getScratch()}
-		outs[st.Path] = out
-		if err := pipe.SetOutput(st.ID, func(t types.Tuple) error {
-			out.write(t)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	outs, err := wireStores(pipe, jc.reduceStores)
+	defer releaseStores(outs)
+	if err != nil {
+		return nil, err
 	}
 	if err := pipe.Validate(); err != nil {
 		return nil, fmt.Errorf("mapred: job %s reduce pipeline: %w", jc.Job.ID, err)
@@ -506,10 +490,41 @@ func execReduceBody(jc *JobContext, part int, recs []shuffleRec) (*ReduceResult,
 			return nil, fmt.Errorf("mapred: job %s reduce %d: %w", jc.Job.ID, part, err)
 		}
 	}
-	rr := &ReduceResult{Stores: make(map[string]StorePart, len(outs))}
-	for path, out := range outs {
-		rr.Stores[path] = StorePart{Data: out.buf, Records: out.records}
-		putScratch(out.scratch)
+	return &ReduceResult{Stores: takeStores(outs)}, nil
+}
+
+// wireStores gives each store of one task a Framer and points the
+// pipeline's output of the store at it. The caller releases the framers
+// (releaseStores) on every path, after takeStores on success.
+func wireStores(pipe *exec.Pipeline, stores []*physical.Operator) (map[string]*types.Framer, error) {
+	outs := make(map[string]*types.Framer, len(stores))
+	for _, st := range stores {
+		out := new(types.Framer)
+		outs[st.Path] = out
+		if err := pipe.SetOutput(st.ID, func(t types.Tuple) error {
+			out.Write(t)
+			return nil
+		}); err != nil {
+			return outs, err
+		}
 	}
-	return rr, nil
+	return outs, nil
+}
+
+// takeStores returns each store's payload as the exact-size copy its
+// framer hands out: the partition the coordinator commits.
+func takeStores(outs map[string]*types.Framer) map[string]StorePart {
+	parts := make(map[string]StorePart, len(outs))
+	for path, out := range outs {
+		data, n := out.Take()
+		parts[path] = StorePart{Data: data, Records: n}
+	}
+	return parts
+}
+
+// releaseStores returns the framers' growth buffers to their pool.
+func releaseStores(outs map[string]*types.Framer) {
+	for _, out := range outs {
+		out.Release()
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -233,6 +234,76 @@ func decodeValue(buf []byte, alias bool) (Value, int, error) {
 	default:
 		return Value{}, 0, fmt.Errorf("types: unknown kind byte %d", buf[0])
 	}
+}
+
+// maxPooledFrame caps the capacity of the buffers framePool keeps: a
+// larger one, grown by one oversized partition or record, is left to the
+// collector instead of being pinned for every later task.
+const maxPooledFrame = 4 << 20
+
+// frameBufs is what a Framer takes from framePool: the payload's growth
+// buffer and the scratch buffer one record is encoded into.
+type frameBufs struct {
+	buf, scratch []byte
+}
+
+// framePool holds the Framers' buffers, reused across tasks.
+var framePool = sync.Pool{
+	New: func() any { return &frameBufs{buf: make([]byte, 0, 4096)} },
+}
+
+// Framer frames records into a growth buffer taken from a pool and reused
+// across tasks, and hands each finished payload out as one exact-size
+// copy. Only the copy leaves the Framer: it is never pooled and never
+// written again, so it can become a committed DFS partition that aliasing
+// readers (DecodeRecord) decode in place. The zero value is ready to use;
+// Release returns the buffers to the pool. A Framer is not safe for
+// concurrent use.
+type Framer struct {
+	b       *frameBufs
+	records int64
+}
+
+// Write appends t as one record: the uvarint length of its encoding, then
+// EncodeTuple's bytes (Writer's layout).
+func (f *Framer) Write(t Tuple) {
+	if f.b == nil {
+		f.b = framePool.Get().(*frameBufs)
+	}
+	b := f.b
+	b.scratch = EncodeTuple(b.scratch[:0], t)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(b.scratch)))
+	b.buf = append(b.buf, b.scratch...)
+	f.records++
+}
+
+// Take returns the records written since the last Take as one exact-size
+// payload (nil when there are none) and their count, and starts the next
+// payload empty.
+func (f *Framer) Take() ([]byte, int64) {
+	n := f.records
+	f.records = 0
+	if f.b == nil || len(f.b.buf) == 0 {
+		return nil, n
+	}
+	out := make([]byte, len(f.b.buf))
+	copy(out, f.b.buf)
+	f.b.buf = f.b.buf[:0]
+	return out, n
+}
+
+// Release drops any records not yet taken and returns the buffers to the
+// pool, unless one grew past maxPooledFrame. The Framer may be written
+// again afterwards.
+func (f *Framer) Release() {
+	if f.b == nil {
+		return
+	}
+	if cap(f.b.buf) <= maxPooledFrame && cap(f.b.scratch) <= maxPooledFrame {
+		f.b.buf = f.b.buf[:0]
+		framePool.Put(f.b)
+	}
+	f.b, f.records = nil, 0
 }
 
 // Writer streams length-prefixed tuple records to an io.Writer.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -15,6 +16,45 @@ func TestEncodedLen(t *testing.T) {
 		if got, want := EncodedLen(tu), len(EncodeTuple(nil, tu)); got != want {
 			t.Errorf("tuple %d %v: EncodedLen %d, encoding is %d bytes", i, tu, got, want)
 		}
+	}
+}
+
+// TestFramingLayout: the Framer and the Writer each lay a record out as
+// its encoding's uvarint length, then the encoding, over the golden tuples
+// and records whose lengths cross the 1-, 2- and 3-byte prefix widths both
+// ways. Take hands out an exact-size payload and the next one starts
+// empty.
+func TestFramingLayout(t *testing.T) {
+	var tuples []Tuple
+	for _, n := range []int{0, 300, 5, 20000, 3, 125, 126, 127, 128, 16400, 16380, 1} {
+		tuples = append(tuples, Tuple{NewString(strings.Repeat("x", n))})
+	}
+	tuples = append(tuples, goldenTuples()...)
+	var want []byte
+	for _, tu := range tuples {
+		enc := EncodeTuple(nil, tu)
+		want = binary.AppendUvarint(want, uint64(len(enc)))
+		want = append(want, enc...)
+	}
+	if got := recordsOf(tuples...); !bytes.Equal(got, want) {
+		t.Error("Writer: payload differs from length-prefixed encodings")
+	}
+	var f Framer
+	defer f.Release()
+	for round := 0; round < 2; round++ {
+		for _, tu := range tuples {
+			f.Write(tu)
+		}
+		got, n := f.Take()
+		if !bytes.Equal(got, want) || n != int64(len(tuples)) {
+			t.Errorf("round %d: Framer payload equal %v, %d records, want %d", round, bytes.Equal(got, want), n, len(tuples))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("round %d: Take's payload has cap %d, len %d", round, cap(got), len(got))
+		}
+	}
+	if got, n := f.Take(); got != nil || n != 0 {
+		t.Errorf("empty Take = %d bytes, %d records", len(got), n)
 	}
 }
 
