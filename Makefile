@@ -39,13 +39,13 @@ flake:
 	$(GO) test -count=20 $$($(GO) list ./... | grep -v '/internal/bench$$')
 
 # Each fuzz target for FUZZTIME; go test -fuzz takes one target per run.
-# Not part of check: tier-1 runs only the checked-in corpora.
+# Not part of check: tier-1 runs only the checked-in corpora and seeds.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzReplayFile:./internal/persist FuzzDecodeTuple:./internal/types \
 	FuzzRecordsTSV:./internal/types FuzzDecodeAliased:./internal/types \
 	FuzzParse:./internal/piglatin FuzzShardKey:./internal/dfs \
 	FuzzShuffleComparator:./internal/mapred FuzzDecodeJob:./internal/mapred \
-	FuzzLoadRepository:./internal/core
+	FuzzLoadRepository:./internal/core FuzzFusedFold:./internal/expr
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -97,12 +97,15 @@ race-shard:
 # leaving every partition it read intact); and the exact-size outputs'
 # tests (a later job, taking the pooled framing buffers, leaves every
 # committed partition intact; Bag.Add on one Group or CoGroup bag window
-# leaves its neighbours intact). -race checks their unsafe
+# leaves its neighbours intact); and the lazy stored bags' tests (Add on a
+# lazy bag leaves the record, its sibling bags and earlier Tuples slices
+# intact; goroutines reading one lazy bag at once share its one decode; a
+# stored Group output's bags folded map-side). -race checks their unsafe
 # conversions with checkptr. Runs twice under the detector: map and reduce
 # pool interleavings differ per run.
 race-engine:
-	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors|TestCommittedPayloadsArePrivate|TestBagWindowsAreIsolated' ./internal/mapred
-	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
+	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors|TestCommittedPayloadsArePrivate|TestBagWindowsAreIsolated|TestStoredBagFold' ./internal/mapred
+	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased|TestLazyBag' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
 
 # The fleet backend battery: the backend differential (the worker fleet
 # makes the in-process engine's rewrite decisions, leaves repository and DFS
@@ -130,8 +133,11 @@ race-fleet:
 #   shard   the all-disjoint round on a single-domain core vs an 8-shard one
 #   engine  the reduce-side ordering kernel (concat + stable sort over the
 #           closure-chain reference order vs sorted runs + k-way merge),
-#           the whole order job on the data plane, and a Group whose
-#           output is stored and then folded (store framing, bag building)
+#           the whole order job on the data plane, a Group whose output
+#           is stored and then folded (store framing, bag building), and
+#           the map-only fold of SUM/AVG/MIN/MAX/COUNT(C.x) over that
+#           stored Group output (reading stored bags back: PigMix L3's
+#           residual job under sub-job reuse)
 #   fleet   a grouped-aggregate query stream through a two-worker HTTP fleet
 #   types   the tuple codec and order on the Value layout: encode, decode
 #           (a narrow row and a 9-column page_views-shaped row) and
@@ -149,7 +155,7 @@ BENCH_RE_hot     := BenchmarkServerHot
 BENCH_PKG_shard  := ./internal/server
 BENCH_RE_shard   := BenchmarkServerShard
 BENCH_PKG_engine := ./internal/mapred
-BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob|BenchmarkReduceGroupStore
+BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob|BenchmarkReduceGroupStore|BenchmarkStoredBagFold
 BENCH_PKG_fleet  := ./internal/fleet
 BENCH_RE_fleet   := BenchmarkFleet
 BENCH_PKG_types  := ./internal/types

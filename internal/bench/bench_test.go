@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,5 +167,27 @@ func TestLookup(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Error("unknown experiment found")
+	}
+}
+
+// tinyGolden holds every experiment's Table.String() at TinyConfig, in
+// Experiments() order, each followed by a blank line. The tables run on
+// simulated time and byte counts, so they repeat exactly; the golden pins
+// that installing one generated instance into many systems computes what
+// generating the instance into each system did.
+const tinyGolden = "testdata/tiny_tables.golden"
+
+func TestTinyTablesGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, exp := range Experiments() {
+		sb.WriteString(tinyTable(t, exp.ID).String())
+		sb.WriteString("\n")
+	}
+	want, err := os.ReadFile(tinyGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("tables differ from %s:\n%s", tinyGolden, got)
 	}
 }

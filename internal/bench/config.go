@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro"
+	"repro/internal/dfs"
 	"repro/internal/pigmix"
 	"repro/internal/synth"
+	"repro/internal/types"
 )
 
 // Config sizes the experiments. The defaults reproduce the paper's setup at
@@ -51,12 +54,96 @@ func TinyConfig() Config {
 	}
 }
 
-// newPigmixSystem builds a ReStore system over a freshly generated PigMix
-// instance, with the cluster clock extrapolating to the instance's
-// paper-scale size.
+// dataset is a generated input: every file's schema and committed
+// partitions. Committed partition bytes are never written again, so one
+// dataset is installed into any number of systems by reference.
+type dataset []datasetFile
+
+type datasetFile struct {
+	path    string
+	schema  types.Schema
+	parts   [][]byte
+	records []int64
+}
+
+// generated memoises generate per key: each input is generated once per
+// process, however many systems the experiments build over it.
+func generated[K comparable](m *sync.Map, key K, generate func(*dfs.FS) error) (dataset, error) {
+	once, _ := m.LoadOrStore(key, sync.OnceValues(func() (dataset, error) {
+		fs := dfs.New()
+		if err := generate(fs); err != nil {
+			return nil, err
+		}
+		return datasetOf(fs)
+	}))
+	return once.(func() (dataset, error))()
+}
+
+// pigmixSets and synthSets hold generated's memos, per pigmix.GenConfig
+// and per synthetic row count.
+var pigmixSets, synthSets sync.Map
+
+// datasetOf reads every file of fs back as a dataset.
+func datasetOf(fs *dfs.FS) (dataset, error) {
+	var d dataset
+	for _, path := range fs.List("") {
+		st, err := fs.StatFile(path)
+		if err != nil {
+			return nil, err
+		}
+		schema, err := fs.SchemaOf(path)
+		if err != nil {
+			return nil, err
+		}
+		f := datasetFile{path: path, schema: schema}
+		for i := 0; i < st.Partitions; i++ {
+			data, err := fs.ReadPartitionRaw(path, i)
+			if err != nil {
+				return nil, err
+			}
+			var n int64
+			for rest := data; len(rest) > 0; n++ {
+				if _, rest, err = types.NextRecord(rest); err != nil {
+					return nil, fmt.Errorf("bench: %s partition %d: %w", path, i, err)
+				}
+			}
+			f.parts = append(f.parts, data)
+			f.records = append(f.records, n)
+		}
+		d = append(d, f)
+	}
+	return d, nil
+}
+
+// installInto creates every file of d in fs, as the generator did, with
+// the dataset's partition bytes.
+func (d dataset) installInto(fs *dfs.FS) error {
+	for _, f := range d {
+		if _, err := fs.Create(f.path, len(f.parts)); err != nil {
+			return err
+		}
+		for i, data := range f.parts {
+			if err := fs.CommitPartition(f.path, i, data, f.records[i]); err != nil {
+				return err
+			}
+		}
+		if err := fs.SetSchema(f.path, f.schema); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newPigmixSystem builds a ReStore system over a PigMix instance,
+// generated once per GenConfig, with the cluster clock extrapolating to
+// the instance's paper-scale size.
 func newPigmixSystem(inst pigmix.Instance, opts ...restore.Option) (*restore.System, error) {
+	d, err := generated(&pigmixSets, inst.Config, func(fs *dfs.FS) error { return pigmix.Generate(fs, inst.Config) })
+	if err != nil {
+		return nil, err
+	}
 	s := restore.New(opts...)
-	if err := pigmix.Generate(s.FS(), inst.Config); err != nil {
+	if err := d.installInto(s.FS()); err != nil {
 		return nil, err
 	}
 	st, err := s.FS().StatFile(pigmix.PathPageViews)
@@ -67,10 +154,15 @@ func newPigmixSystem(inst pigmix.Instance, opts ...restore.Option) (*restore.Sys
 	return s, nil
 }
 
-// newSynthSystem builds a ReStore system over the §7.5 synthetic table.
+// newSynthSystem builds a ReStore system over the §7.5 synthetic table,
+// generated once per row count.
 func newSynthSystem(cfg Config, opts ...restore.Option) (*restore.System, error) {
+	d, err := generated(&synthSets, cfg.SynthRows, func(fs *dfs.FS) error { return synth.Generate(fs, cfg.SynthRows, 4, 11) })
+	if err != nil {
+		return nil, err
+	}
 	s := restore.New(opts...)
-	if err := synth.Generate(s.FS(), cfg.SynthRows, 4, 11); err != nil {
+	if err := d.installInto(s.FS()); err != nil {
 		return nil, err
 	}
 	st, err := s.FS().StatFile(synth.Path)

@@ -149,7 +149,7 @@ func EvalForeach(op *physical.Operator, t types.Tuple) (types.Tuple, error) {
 			bagVal := def.Base.Eval(work)
 			if bagVal.Kind() != types.KindBag {
 				// Null or scalar: treat as empty bag so aggregates behave.
-				work = append(work, types.NewBag(&types.Bag{}))
+				work = append(work, types.NewBag(types.BagOf()))
 				continue
 			}
 			work = append(work, applyNested(def, bagVal.Bag()))
@@ -167,8 +167,8 @@ func applyNested(def physical.NestedDef, in *types.Bag) types.Value {
 	case "distinct":
 		// Dedupe the sorted copy in place, keeping the first tuple of
 		// each run of neighbours that compare equal.
-		sorted := make([]types.Tuple, len(in.Tuples))
-		copy(sorted, in.Tuples)
+		sorted := make([]types.Tuple, in.Len())
+		copy(sorted, in.Tuples())
 		sort.Slice(sorted, func(i, j int) bool { return types.CompareTuples(sorted[i], sorted[j]) < 0 })
 		n := 0
 		var prev types.Tuple
@@ -179,19 +179,19 @@ func applyNested(def physical.NestedDef, in *types.Bag) types.Value {
 			}
 			prev = tu
 		}
-		return types.NewBag(&types.Bag{Tuples: sorted[:n]})
+		return types.NewBag(types.BagOf(sorted[:n]...))
 	case "filter":
 		if def.Pred == nil {
-			return types.NewBag(&types.Bag{})
+			return types.NewBag(types.BagOf())
 		}
 		// Sized to the input once: the bag never grows through appends.
-		kept := make([]types.Tuple, 0, len(in.Tuples))
-		for _, tu := range in.Tuples {
+		kept := make([]types.Tuple, 0, in.Len())
+		for _, tu := range in.Tuples() {
 			if def.Pred.Eval(tu).Truthy() {
 				kept = append(kept, tu)
 			}
 		}
-		return types.NewBag(&types.Bag{Tuples: kept})
+		return types.NewBag(types.BagOf(kept...))
 	default: // "ident"
 		return types.NewBag(in)
 	}

@@ -182,10 +182,10 @@ func TestPushOutputOfBypassesEvaluation(t *testing.T) {
 	if err := pl.SetOutput(st.ID, func(tu types.Tuple) error { got = append(got, tu); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	bag := &types.Bag{Tuples: []types.Tuple{
+	bag := types.BagOf([]types.Tuple{
 		{types.NewString("a"), types.NewInt(1)},
 		{types.NewString("a"), types.NewInt(2)},
-	}}
+	}...)
 	if err := pl.PushOutputOf(g.ID, types.Tuple{types.NewString("a"), types.NewBag(bag)}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,9 @@ func TestEvalForeachNestedDistinctAndFilter(t *testing.T) {
 		},
 		Exprs: []*expr.Expr{genGroup, genD, genP},
 	}
-	bag := &types.Bag{Tuples: []types.Tuple{
+	bag := types.BagOf([]types.Tuple{
 		{types.NewInt(1)}, {types.NewInt(1)}, {types.NewInt(0)}, {types.NewInt(-2)},
-	}}
+	}...)
 	out, err := EvalForeach(op, types.Tuple{types.NewString("g"), types.NewBag(bag)})
 	if err != nil {
 		t.Fatal(err)

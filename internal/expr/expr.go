@@ -63,6 +63,10 @@ type Expr struct {
 	// once when the node is built, bound or decoded.
 	op *Operator
 	fn *Func
+	// fused marks a bound aggregate call over a bag projection,
+	// AGG(bag.$i): Eval folds field i straight off the bag (Bag.Column)
+	// instead of building the projected bag.
+	fused bool
 }
 
 // Operator is one entry of the operator table: everything the language
@@ -176,20 +180,24 @@ func negate(v types.Value) types.Value {
 }
 
 // Func is one entry of the function table. A function has one kernel: one
-// for a single argument (any other arity yields null), or many.
+// for a single argument (any other arity yields null), or many. An
+// aggregate's one kernel folds its values over the first field of each
+// tuple of the bag; a fused call folds them over one field (Bag.Column).
 type Func struct {
 	Name      string // the upper-case name a call node stores
 	Aggregate bool   // folds a bag to a scalar
 	Fold      *Fold  // the algebraic form of COUNT, SUM, MIN and MAX; nil otherwise
 
-	one  func(types.Value) types.Value
-	many func([]types.Value) types.Value
+	one    func(types.Value) types.Value
+	many   func([]types.Value) types.Value
+	values func(types.Fields) types.Value // an aggregate's fold over its values
 }
 
 // Fold is an algebraic aggregate over the first field of each tuple of a
-// bag. Eval folds a whole bag with Step; the MapReduce combiner folds each
-// map task's values per key with Step and combines the partials with Merge,
-// so both paths compute the same value.
+// bag, or over field i of each for AGG(bag.$i). Eval folds a whole bag with
+// Step; the MapReduce combiner folds each map task's values per key with
+// StepField and combines the partials with Merge, so both paths compute the
+// same value.
 type Fold struct {
 	Zero  types.Value                                // the partial before any value
 	Step  func(acc, v types.Value) types.Value       // folds one value into a partial
@@ -206,11 +214,11 @@ var (
 
 // funcs is the function table.
 var funcs = []*Func{
-	{Name: "COUNT", Aggregate: true, Fold: countFold, one: onBag(countFold.over)},
-	{Name: "SUM", Aggregate: true, Fold: sumFold, one: onBag(sumFold.over)},
-	{Name: "MIN", Aggregate: true, Fold: minFold, one: onBag(minFold.over)},
-	{Name: "MAX", Aggregate: true, Fold: maxFold, one: onBag(maxFold.over)},
-	{Name: "AVG", Aggregate: true, one: onBag(avg)},
+	aggregate("COUNT", countFold, countFold.fold),
+	aggregate("SUM", sumFold, sumFold.fold),
+	aggregate("MIN", minFold, minFold.fold),
+	aggregate("MAX", maxFold, maxFold.fold),
+	aggregate("AVG", nil, avg),
 	{Name: "ISEMPTY", one: onBag(func(b *types.Bag) types.Value { return types.NewBool(b.Len() == 0) })},
 	// DISTINCTCOUNT counts the distinct tuples of a bag (PigMix L4's
 	// nested distinct + count idiom).
@@ -226,21 +234,36 @@ var funcs = []*Func{
 // unknownFunc stands in for a name outside the table; it evaluates to null.
 var unknownFunc = &Func{one: func(types.Value) types.Value { return types.Null() }}
 
-// over folds a bag: Step over each tuple's first field (null for an empty
-// tuple), starting from Zero.
-func (f *Fold) over(b *types.Bag) types.Value {
+// aggregate builds the table entry of an aggregate from its fold over a
+// sequence of values.
+func aggregate(name string, fold *Fold, values func(types.Fields) types.Value) *Func {
+	return &Func{Name: name, Aggregate: true, Fold: fold, values: values,
+		one: onBag(func(b *types.Bag) types.Value { return values(b.Firsts()) })}
+}
+
+// fold runs Step over vals, starting from Zero.
+func (f *Fold) fold(vals types.Fields) types.Value {
 	acc := f.Zero
-	for _, t := range b.Tuples {
-		acc = f.Step(acc, first(t))
+	for vals.Next() {
+		acc = f.Step(acc, vals.Value())
 	}
 	return acc
 }
 
-func first(t types.Tuple) types.Value {
-	if len(t) == 0 {
-		return types.Null()
+// StepField folds one tuple of a bag into acc as the aggregate call does:
+// for AGG(bag.$i) (i >= 0) its field i, skipping a tuple shorter than i+1
+// as the projection drops it; for AGG(bag) (i < 0) its first field, null
+// for an empty tuple.
+func (f *Fold) StepField(acc types.Value, row types.Tuple, i int) types.Value {
+	switch {
+	case i < 0 && len(row) == 0:
+		return f.Step(acc, types.Null())
+	case i < 0:
+		return f.Step(acc, row[0])
+	case i < len(row):
+		return f.Step(acc, row[i])
 	}
-	return t[0]
+	return acc
 }
 
 // sum adds v into acc with Pig semantics: nulls and non-numbers are
@@ -269,12 +292,12 @@ func best(dir int) func(acc, v types.Value) types.Value {
 	}
 }
 
-// avg is the float64 mean of a bag's numeric first fields.
-func avg(b *types.Bag) types.Value {
+// avg is the float64 mean of the numeric values.
+func avg(vals types.Fields) types.Value {
 	var total float64
 	var n int
-	for _, t := range b.Tuples {
-		if f, ok := types.CoerceFloat(first(t)); ok {
+	for vals.Next() {
+		if f, ok := types.CoerceFloat(vals.Value()); ok {
 			total += f
 			n++
 		}
@@ -286,8 +309,8 @@ func avg(b *types.Bag) types.Value {
 }
 
 func distinctCount(b *types.Bag) types.Value {
-	tuples := make([]types.Tuple, len(b.Tuples))
-	copy(tuples, b.Tuples)
+	tuples := make([]types.Tuple, b.Len())
+	copy(tuples, b.Tuples())
 	sort.Slice(tuples, func(i, j int) bool { return types.CompareTuples(tuples[i], tuples[j]) < 0 })
 	var n int64
 	for i := range tuples {
@@ -393,7 +416,8 @@ func BagProj(base *Expr, field string) *Expr {
 }
 
 // resolve points an operator or call node at its table entry, so Eval
-// never looks a symbol up per record.
+// never looks a symbol up per record, and fuses an aggregate over a bound
+// bag projection.
 func (e *Expr) resolve() *Expr {
 	switch e.Op {
 	case OpBinary, OpUnary:
@@ -408,6 +432,8 @@ func (e *Expr) resolve() *Expr {
 				e.fn = f
 			}
 		}
+		e.fused = e.fn.values != nil && len(e.Args) == 1 &&
+			e.Args[0].Op == OpBagProj && e.Args[0].Index >= 0
 	}
 	return e
 }
@@ -502,12 +528,12 @@ func (e *Expr) bind(schema types.Schema) error {
 		e.Index = ix
 		return nil
 	default:
-		e.resolve()
 		for _, a := range e.Args {
 			if err := a.bind(schema); err != nil {
 				return err
 			}
 		}
+		e.resolve()
 		return nil
 	}
 }
@@ -582,6 +608,14 @@ func (e *Expr) Eval(t types.Tuple) types.Value {
 	case OpUnary:
 		return e.op.unary(e.Args[0].Eval(t))
 	case OpCall:
+		if e.fused {
+			proj := e.Args[0]
+			base := proj.Args[0].Eval(t)
+			if base.Kind() != types.KindBag {
+				return types.Null()
+			}
+			return e.fn.values(base.Bag().Column(proj.Index))
+		}
 		if e.fn.many == nil {
 			if len(e.Args) != 1 {
 				return types.Null()
@@ -599,21 +633,19 @@ func (e *Expr) Eval(t types.Tuple) types.Value {
 			return types.Null()
 		}
 		if e.Index < 0 {
-			return types.NewBag(&types.Bag{})
+			return types.NewBag(types.BagOf())
 		}
-		rows := base.Bag().Tuples
+		bag := base.Bag()
 		// One allocation for the spines and one for the values: each
 		// 1-column tuple is a window of vals whose capacity ends with it.
-		tuples := make([]types.Tuple, 0, len(rows))
-		vals := make([]types.Value, len(rows))
-		for _, row := range rows {
-			if e.Index < len(row) {
-				i := len(tuples)
-				vals[i] = row[e.Index]
-				tuples = append(tuples, vals[i:i+1:i+1])
-			}
+		tuples := make([]types.Tuple, 0, bag.Len())
+		vals := make([]types.Value, bag.Len())
+		for col := bag.Column(e.Index); col.Next(); {
+			i := len(tuples)
+			vals[i] = col.Value()
+			tuples = append(tuples, vals[i:i+1:i+1])
 		}
-		return types.NewBag(&types.Bag{Tuples: tuples})
+		return types.NewBag(types.BagOf(tuples...))
 	default:
 		return types.Null()
 	}

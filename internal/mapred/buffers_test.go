@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"repro/internal/dfs"
@@ -47,6 +48,78 @@ func groupStoreJob(t testing.TB, in, tag string) *Job {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// bagFoldJob builds the residual job sub-job reuse leaves PigMix L3: a
+// map-only Foreach over a stored Group output, (group, C: bag of (user,
+// rev)), generating group and SUM, AVG, MIN, MAX and COUNT of C.rev, then a
+// Store to out.
+func bagFoldJob(t testing.TB, in, out string) *Job {
+	t.Helper()
+	sub := viewsSchema()
+	schema := types.Schema{Fields: []types.Field{{Name: "group"}, {Name: "C", Kind: types.KindBag, Sub: &sub}}}
+	p := physical.NewPlan()
+	l := p.Add(&physical.Operator{Kind: physical.OpLoad, Path: in, Schema: schema})
+	exprs := []*expr.Expr{expr.ColIdx(0)}
+	names := []string{"group"}
+	for _, agg := range []string{"SUM", "AVG", "MIN", "MAX", "COUNT"} {
+		e, err := expr.Call(agg, expr.BagProj(expr.Col("C"), "rev")).Bind(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exprs = append(exprs, e)
+		names = append(names, agg)
+	}
+	fe := p.Add(&physical.Operator{Kind: physical.OpForeach, Inputs: []int{l.ID}, Exprs: exprs, Schema: types.SchemaFromNames(names...)})
+	p.Add(&physical.Operator{Kind: physical.OpStore, Path: out, Inputs: []int{fe.ID}, Schema: fe.Schema})
+	j, err := NewJob(out, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestStoredBagFold: folding the stored Group output's bags, which the
+// map tasks read back lazily, gives for every user the SUM, AVG, MIN, MAX
+// and COUNT of the revenues writeViews gave that user.
+func TestStoredBagFold(t *testing.T) {
+	e := newTestEngine()
+	const rows, users = 600, 40
+	writeViews(t, e.FS, "data/views", rows, users, 6, 3)
+	ctx := context.Background()
+	if _, err := e.RunJob(ctx, groupStoreJob(t, "data/views", "fold")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunJob(ctx, bagFoldJob(t, "restore/fold/group", "out/folded"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShuffleBytes != 0 {
+		t.Errorf("the fold shuffled %d bytes; it is map-only", res.Stats.ShuffleBytes)
+	}
+	got, err := e.FS.ReadAll("out/folded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != users {
+		t.Fatalf("%d groups, want %d", len(got), users)
+	}
+	for _, row := range got {
+		u, err := strconv.Atoi(row[0].Str())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum, n int64
+		for i := u; i < rows; i += users {
+			sum += int64(i)
+			n++
+		}
+		want := types.Tuple{row[0], types.NewInt(sum), types.NewFloat(float64(sum) / float64(n)),
+			types.NewInt(int64(u)), types.NewInt(int64(u) + (n-1)*users), types.NewInt(n)}
+		if !bytes.Equal(types.EncodeTuple(nil, row), types.EncodeTuple(nil, want)) {
+			t.Errorf("user %d: %v, want %v", u, row, want)
+		}
+	}
 }
 
 // writeViews writes rows (user, rev) over users distinct users, each user
@@ -179,7 +252,7 @@ func TestBagWindowsAreIsolated(t *testing.T) {
 			snapshot := func() []string {
 				out := make([]string, len(bags))
 				for i, b := range bags {
-					out[i] = fmt.Sprint(b.Tuples)
+					out[i] = fmt.Sprint(b.Tuples())
 				}
 				return out
 			}

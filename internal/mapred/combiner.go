@@ -20,7 +20,8 @@ import (
 
 // combAgg is one output column of the combined Foreach: the group key
 // (fold nil), or an algebraic aggregate from the expression function table
-// folding field proj of each grouped tuple.
+// folding each grouped tuple through Fold.StepField: field proj for
+// AGG(C.$proj), the first field for AGG(C) (proj -1).
 type combAgg struct {
 	fold *expr.Fold
 	proj int
@@ -68,12 +69,11 @@ func classifyCombExpr(e *expr.Expr) (combAgg, bool) {
 	if fold == nil || len(e.Args) != 1 {
 		return combAgg{}, false
 	}
-	// An aggregate folds the first field of each tuple of its bag argument:
-	// field 0 of the grouped tuples for the bag column itself, the projected
-	// field for a projection of it.
+	// An aggregate folds the first field of each tuple of its bag argument
+	// (the grouped tuples), or the projected field of a projection of it.
 	switch arg := e.Args[0]; {
 	case arg.Op == expr.OpCol && arg.Index == 1:
-		return combAgg{fold: fold}, true
+		return combAgg{fold: fold, proj: -1}, true
 	case arg.Op == expr.OpBagProj && arg.Args[0].Op == expr.OpCol && arg.Args[0].Index == 1 && arg.Index >= 0:
 		return combAgg{fold: fold, proj: arg.Index}, true
 	}
@@ -119,16 +119,9 @@ func (a *combAccumulator) add(key types.Tuple, t types.Tuple) {
 	}
 	for i, agg := range a.spec.aggs {
 		if agg.fold != nil {
-			st.vals[i] = agg.fold.Step(st.vals[i], fieldOf(t, agg.proj))
+			st.vals[i] = agg.fold.StepField(st.vals[i], t, agg.proj)
 		}
 	}
-}
-
-func fieldOf(t types.Tuple, i int) types.Value {
-	if i >= len(t) {
-		return types.Null()
-	}
-	return t[i]
 }
 
 // mergePartials combines two partial tuples (reduce side).

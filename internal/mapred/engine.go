@@ -440,7 +440,7 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 				return err
 			}
 		case physical.OpGroup:
-			bag := &types.Bag{Tuples: arena[start:end:end]}
+			bag := types.BagOf(arena[start:end:end]...)
 			if err := emit(types.Tuple{groupValue(b, run[0].key), types.NewBag(bag)}); err != nil {
 				return err
 			}
@@ -461,9 +461,9 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 					for e < to && run[e].tag == tag {
 						e++
 					}
-					bag := &types.Bag{}
+					bag := types.BagOf()
 					if e > s {
-						bag.Tuples = arena[start+s : start+e : start+e]
+						bag = types.BagOf(arena[start+s : start+e : start+e]...)
 					}
 					out[1+tag] = types.NewBag(bag)
 					s = e

@@ -157,3 +157,24 @@ func BenchmarkReduceGroupStore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoredBagFold runs the residual job sub-job reuse leaves PigMix
+// L3 (bagFoldJob): a map-only fold of SUM, AVG, MIN, MAX and COUNT over
+// one column of every bag of a stored Group output. Its B/op is what
+// reading a stored bag back and folding it allocates.
+func BenchmarkStoredBagFold(b *testing.B) {
+	fs := dfs.New()
+	writeViews(b, fs, "bench/views", 40_000, 2_000, 12, 8)
+	e := NewEngine(fs, cluster.Default())
+	if _, err := e.RunJob(context.Background(), groupStoreJob(b, "bench/views", "bench")); err != nil {
+		b.Fatal(err)
+	}
+	job := bagFoldJob(b, "restore/bench/group", "out/fold")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunJob(context.Background(), job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

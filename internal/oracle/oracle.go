@@ -217,7 +217,7 @@ func (ev *evaluator) group(op *physical.Operator) []types.Tuple {
 			if c == nil {
 				c = &class{key: k, input: owner, bags: make([]*types.Bag, len(op.Inputs))}
 				for b := range c.bags {
-					c.bags[b] = &types.Bag{}
+					c.bags[b] = types.BagOf()
 				}
 				classes = append(classes, c)
 			}
@@ -325,7 +325,7 @@ func eval(e *expr.Expr, t types.Tuple) types.Value {
 	case expr.OpCall:
 		if len(e.Args) == 1 {
 			if v := eval(e.Args[0], t); v.Kind() == types.KindBag {
-				return aggregate(e.Name, v.Bag().Tuples)
+				return aggregate(e.Name, v.Bag().Tuples())
 			}
 			return types.Null()
 		}
@@ -334,8 +334,8 @@ func eval(e *expr.Expr, t types.Tuple) types.Value {
 		if base.Kind() != types.KindBag {
 			return types.Null()
 		}
-		out := &types.Bag{}
-		for _, row := range base.Bag().Tuples {
+		out := types.BagOf()
+		for _, row := range base.Bag().Tuples() {
 			if e.Index >= 0 && e.Index < len(row) {
 				out.Add(types.Tuple{row[e.Index]})
 			}
@@ -580,8 +580,8 @@ func renderValue(sb *strings.Builder, v types.Value, exact bool) {
 	case types.KindTuple:
 		renderTuple(sb, v.Tuple(), exact)
 	case types.KindBag:
-		parts := make([]string, len(v.Bag().Tuples))
-		for i, t := range v.Bag().Tuples {
+		parts := make([]string, v.Bag().Len())
+		for i, t := range v.Bag().Tuples() {
 			parts[i] = render(t, exact)
 		}
 		if !exact {

@@ -23,7 +23,7 @@ var hostileRows = []types.Tuple{
 	{},
 	{types.Null(), types.NewBool(true), types.NewInt(math.MinInt64), types.NewInt(math.MaxInt64)},
 	{types.NewTuple(types.Tuple{types.NewInt(1), types.NewTuple(types.Tuple{types.NewString("in"), types.Null()})})},
-	{types.NewBag(&types.Bag{Tuples: []types.Tuple{{types.NewInt(1), types.NewString("a")}, {}}})},
+	{types.NewBag(types.BagOf([]types.Tuple{{types.NewInt(1), types.NewString("a")}, {}}...))},
 	{types.NewFloat(math.NaN()), types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(1e21)},
 	{types.NewString("tab\there"), types.NewString(`say "hi" \ back`), types.NewString("<script>&amp;</script>")},
 	{types.NewString("\x00\x01\b\f\n\r\x1f\x7f"), types.NewString("bad \xff\xfe utf8 \xc3"), types.NewString("line\u2028para\u2029end")},

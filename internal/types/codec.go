@@ -54,8 +54,11 @@ func encodeValue(dst []byte, v Value) []byte {
 		dst = EncodeTuple(dst, v.tuple())
 	case KindBag:
 		bag := v.bag()
-		dst = binary.AppendUvarint(dst, uint64(len(bag.Tuples)))
-		for _, t := range bag.Tuples {
+		dst = binary.AppendUvarint(dst, uint64(bag.Len()))
+		if l := bag.lazy; l != nil {
+			return append(dst, l.enc...)
+		}
+		for _, t := range bag.tuples {
 			dst = EncodeTuple(dst, t)
 		}
 	}
@@ -86,8 +89,11 @@ func encodedValueLen(v *Value) int {
 		return 1 + EncodedLen(v.tuple())
 	case KindBag:
 		bag := v.bag()
-		n := 1 + uvarintLen(uint64(len(bag.Tuples)))
-		for _, t := range bag.Tuples {
+		n := 1 + uvarintLen(uint64(bag.Len()))
+		if l := bag.lazy; l != nil {
+			return n + len(l.enc)
+		}
+		for _, t := range bag.tuples {
 			n += EncodedLen(t)
 		}
 		return n
@@ -115,8 +121,9 @@ func NextRecord(data []byte) (rec, rest []byte, err error) {
 }
 
 // DecodeRecord decodes a record NextRecord split off, which must hold
-// exactly one tuple. String values alias rec instead of copying it, so rec
-// must never be written again: committed DFS partitions, fleet request
+// exactly one tuple. String values alias rec instead of copying it, and a
+// non-empty bag stays lazy (see Bag), its encoded tuples aliasing rec, so
+// rec must never be written again: committed DFS partitions, fleet request
 // bodies and pulled shuffle runs are all written once.
 func DecodeRecord(rec []byte) (Tuple, error) { return decodeRecord(rec, true) }
 
@@ -142,7 +149,8 @@ func trailingBytes(n int) error {
 func DecodeTuple(buf []byte) (Tuple, int, error) { return decodeTuple(buf, false) }
 
 // decodeTuple is the one tuple decoder. With alias set, string values point
-// into buf (unsafe.String) instead of copying it.
+// into buf (unsafe.String) instead of copying it, and a bag whose bytes
+// EncodeTuple would write back unchanged is a lazy bag over buf.
 func decodeTuple(buf []byte, alias bool) (Tuple, int, error) {
 	arity, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -213,6 +221,15 @@ func decodeValue(buf []byte, alias bool) (Value, int, error) {
 		}
 		return NewTuple(t), off + n, nil
 	case KindBag:
+		// With alias set, a non-empty bag whose bytes EncodeTuple would
+		// write back unchanged stays lazy. Any other bag, a corrupt one
+		// included, is decoded eagerly, which reports the error.
+		if alias {
+			if used, canon, ok := walkValue(buf); ok && canon && buf[1] != 0 {
+				count, n := binary.Uvarint(buf[off:])
+				return NewBag(newLazyBag(int(count), buf[off+n:used:used])), used, nil
+			}
+		}
 		count, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
 			return Value{}, 0, fmt.Errorf("types: corrupt bag count")
@@ -221,16 +238,16 @@ func decodeValue(buf []byte, alias bool) (Value, int, error) {
 		if count > uint64(len(buf)-off) { // every tuple takes at least one byte
 			return Value{}, 0, io.ErrUnexpectedEOF
 		}
-		bag := &Bag{Tuples: make([]Tuple, 0, count)}
-		for i := uint64(0); i < count; i++ {
+		tuples := make([]Tuple, count)
+		for i := range tuples {
 			t, n, err := decodeTuple(buf[off:], alias)
 			if err != nil {
 				return Value{}, 0, err
 			}
-			bag.Add(t)
+			tuples[i] = t
 			off += n
 		}
-		return NewBag(bag), off, nil
+		return NewBag(BagOf(tuples...)), off, nil
 	default:
 		return Value{}, 0, fmt.Errorf("types: unknown kind byte %d", buf[0])
 	}
@@ -452,12 +469,12 @@ func hashValue(h uint64, v *Value) uint64 {
 		return hashTuple(hashByte(h, byte(KindTuple)), v.tuple())
 	case KindBag:
 		// Summing per-tuple hashes makes the bag's hash order-free.
-		bag := v.bag()
+		tuples := v.bag().Tuples()
 		var sum uint64
-		for _, t := range bag.Tuples {
+		for _, t := range tuples {
 			sum += hashTuple(fnvOffset, t)
 		}
-		h = hashUvarint(hashByte(h, byte(KindBag)), uint64(len(bag.Tuples)))
+		h = hashUvarint(hashByte(h, byte(KindBag)), uint64(len(tuples)))
 		return hashUint64(h, sum)
 	default:
 		return hashByte(h, byte(v.kind))

@@ -20,7 +20,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{NewFloat(3.14159), NewString(""), NewString("hello\tworld")},
 		{NewBool(true), NewBool(false)},
 		{NewTuple(Tuple{NewInt(1), NewTuple(Tuple{NewString("nested")})})},
-		{NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {NewString("a"), Null()}}})},
+		{NewBag(BagOf([]Tuple{{NewInt(1)}, {NewString("a"), Null()}}...))},
 	}
 	for _, in := range tuples {
 		buf := EncodeTuple(nil, in)
@@ -143,7 +143,7 @@ func numericTwin(v Value) Value {
 	case KindTuple:
 		return NewTuple(tupleTwin(v.Tuple()))
 	case KindBag:
-		ts, out := v.Bag().Tuples, &Bag{}
+		ts, out := v.Bag().Tuples(), BagOf()
 		for i := len(ts) - 1; i >= 0; i-- {
 			out.Add(tupleTwin(ts[i]))
 		}
@@ -195,7 +195,7 @@ func TestHashAgreesWithCompareProperty(t *testing.T) {
 		{{NewInt(1<<53 + 1)}, {NewInt(1 << 53)}},
 		{{NewInt(1<<62 + 1)}, {NewFloat(1 << 62)}},
 		{{NewTuple(Tuple{NewInt(-7), NewString("x")})}, {NewTuple(Tuple{NewFloat(-7), NewString("x")})}},
-		{{NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {NewInt(2)}}})}, {NewBag(&Bag{Tuples: []Tuple{{NewFloat(2)}, {NewInt(1)}}})}},
+		{{NewBag(BagOf([]Tuple{{NewInt(1)}, {NewInt(2)}}...))}, {NewBag(BagOf([]Tuple{{NewFloat(2)}, {NewInt(1)}}...))}},
 	} {
 		if CompareTuples(pair[0], pair[1]) != 0 || HashTuple(pair[0]) != HashTuple(pair[1]) {
 			t.Errorf("%v and %v: compare %d, hashes %x %x", pair[0], pair[1],
@@ -354,7 +354,7 @@ func FuzzDecodeTuple(f *testing.F) {
 	for _, t := range []Tuple{
 		{},
 		{Null(), NewBool(true), NewInt(-7), NewFloat(2.5), NewString("a\tb")},
-		{NewTuple(Tuple{NewInt(1)}), NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {}}})},
+		{NewTuple(Tuple{NewInt(1)}), NewBag(BagOf([]Tuple{{NewInt(1)}, {}}...))},
 	} {
 		f.Add(EncodeTuple(nil, t))
 	}

@@ -40,8 +40,8 @@ func edgeTuples() []Tuple {
 		{NewString("tab\there"), NewString("quote\"<&>"), NewString("\x00\xff")},
 		{NewTuple(nil), NewTuple(Tuple{}), NewTuple(t[1:3]), NewTuple(t[4:])},
 		{NewTuple(Tuple{NewTuple(Tuple{NewInt(-7)})})},
-		{NewBag(&Bag{}), NewBag(&Bag{Tuples: []Tuple{nil, {}}})},
-		{NewBag(&Bag{Tuples: []Tuple{{NewInt(2)}, {NewFloat(1)}, t[:2]}})},
+		{NewBag(BagOf()), NewBag(BagOf([]Tuple{nil, {}}...))},
+		{NewBag(BagOf([]Tuple{{NewInt(2)}, {NewFloat(1)}, t[:2]}...))},
 	}
 }
 

@@ -34,7 +34,7 @@ func toValueJSON(v Value) valueJSON {
 			out.Tuple = append(out.Tuple, toValueJSON(e))
 		}
 	case KindBag:
-		for _, t := range v.bag().Tuples {
+		for _, t := range v.bag().Tuples() {
 			var row []valueJSON
 			for _, e := range t {
 				row = append(row, toValueJSON(e))

@@ -15,7 +15,7 @@ var hostileTuples = []Tuple{
 	{},
 	{Null(), NewBool(true), NewBool(false), NewInt(math.MinInt64), NewInt(math.MaxInt64)},
 	{NewTuple(Tuple{NewInt(1), NewTuple(Tuple{NewString("in"), Null()})}), NewTuple(Tuple{})},
-	{NewBag(&Bag{Tuples: []Tuple{{NewInt(1), NewString("a")}, {}, {NewBag(&Bag{})}}})},
+	{NewBag(BagOf([]Tuple{{NewInt(1), NewString("a")}, {}, {NewBag(BagOf())}}...))},
 	{NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.Copysign(0, -1)), NewFloat(1e21), NewFloat(0.1)},
 	{NewString("tab\there"), NewString(`say "hi" \ back`), NewString("<script>&amp;</script>")},
 	{NewString("\x00\x01\b\f\n\r\x1f\x7f"), NewString("bad \xff\xfe utf8 \xc3"), NewString("line\u2028para\u2029end")},

@@ -7,7 +7,6 @@ package types
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -89,12 +88,6 @@ type Value struct {
 
 // Tuple is an ordered sequence of values.
 type Tuple []Value
-
-// Bag is a collection of tuples. Bags preserve insertion order internally but
-// are compared as multisets.
-type Bag struct {
-	Tuples []Tuple
-}
 
 // Null returns the null value.
 func Null() Value { return Value{} }
@@ -240,7 +233,7 @@ func (v Value) appendText(sb *strings.Builder) {
 		sb.WriteByte(')')
 	case KindBag:
 		sb.WriteByte('{')
-		for i, t := range v.bag().Tuples {
+		for i, t := range v.bag().Tuples() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -371,46 +364,11 @@ func CompareTuples(a, b Tuple) int {
 	}
 }
 
-func compareBags(a, b *Bag) int {
-	as := a.sortedCopy()
-	bs := b.sortedCopy()
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
-	for i := 0; i < n; i++ {
-		if c := CompareTuples(as[i], bs[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(as) < len(bs):
-		return -1
-	case len(as) > len(bs):
-		return 1
-	default:
-		return 0
-	}
-}
-
-func (b *Bag) sortedCopy() []Tuple {
-	out := make([]Tuple, len(b.Tuples))
-	copy(out, b.Tuples)
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i], out[j]) < 0 })
-	return out
-}
-
 // Equal reports deep equality under Compare semantics.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // EqualTuples reports deep equality of tuples.
 func EqualTuples(a, b Tuple) bool { return CompareTuples(a, b) == 0 }
-
-// Add adds the tuple to the bag.
-func (b *Bag) Add(t Tuple) { b.Tuples = append(b.Tuples, t) }
-
-// Len returns the number of tuples in the bag.
-func (b *Bag) Len() int { return len(b.Tuples) }
 
 // Clone returns a deep copy of the tuple. Scalar payloads are immutable so
 // only the container spine is copied.

@@ -26,7 +26,7 @@ func TestValueAccessors(t *testing.T) {
 		{NewFloat(2.5), KindFloat, "2.5"},
 		{NewString("hello"), KindString, "hello"},
 		{NewTuple(Tuple{NewInt(1), NewString("x")}), KindTuple, "(1,x)"},
-		{NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {NewInt(2)}}}), KindBag, "{(1),(2)}"},
+		{NewBag(BagOf([]Tuple{{NewInt(1)}, {NewInt(2)}}...)), KindBag, "{(1),(2)}"},
 	}
 	for _, c := range cases {
 		if c.v.Kind() != c.kind {
@@ -86,12 +86,12 @@ func TestCompareTuples(t *testing.T) {
 }
 
 func TestCompareBagsAsMultisets(t *testing.T) {
-	a := NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}, {NewInt(2)}}})
-	b := NewBag(&Bag{Tuples: []Tuple{{NewInt(2)}, {NewInt(1)}}})
+	a := NewBag(BagOf([]Tuple{{NewInt(1)}, {NewInt(2)}}...))
+	b := NewBag(BagOf([]Tuple{{NewInt(2)}, {NewInt(1)}}...))
 	if Compare(a, b) != 0 {
 		t.Error("bags with same tuples in different order should compare equal")
 	}
-	c := NewBag(&Bag{Tuples: []Tuple{{NewInt(1)}}})
+	c := NewBag(BagOf([]Tuple{{NewInt(1)}}...))
 	if Compare(c, a) >= 0 {
 		t.Error("smaller bag should sort first")
 	}
@@ -184,7 +184,7 @@ func TestValueLayout(t *testing.T) {
 func gcValues() (vs []Value, want []string) {
 	s := strings.Repeat("0123456789", 3)
 	tu := Tuple{NewInt(7), NewString(strings.Repeat("ab", 5)), NewFloat(-1.5), Null()}
-	bag := &Bag{Tuples: []Tuple{{NewString(strings.Repeat("z", 9))}, nil}}
+	bag := BagOf([]Tuple{{NewString(strings.Repeat("z", 9))}, nil}...)
 	vs = []Value{
 		NewString(s[3:9]), NewString(s[len(s):]), NewString(""),
 		NewTuple(tu[1:3]), NewTuple(nil), NewTuple(Tuple{}),
@@ -270,7 +270,7 @@ func randomValue(r *rand.Rand, depth int) Value {
 	case 5:
 		return NewTuple(randomTuple(r, depth-1))
 	default:
-		bag := &Bag{}
+		bag := BagOf()
 		for i, n := 0, r.Intn(3); i < n; i++ {
 			bag.Add(randomTuple(r, depth-1))
 		}
