@@ -100,12 +100,16 @@ race-shard:
 # leaves its neighbours intact); and the lazy stored bags' tests (Add on a
 # lazy bag leaves the record, its sibling bags and earlier Tuples slices
 # intact; goroutines reading one lazy bag at once share its one decode; a
-# stored Group output's bags folded map-side). -race checks their unsafe
-# conversions with checkptr. Runs twice under the detector: map and reduce
-# pool interleavings differ per run.
+# stored Group output's bags folded map-side); and the borrowed tuples'
+# tests (the slice reader's next Read reuses the spine it lent and leaves
+# clones, nested tuples, lazy bags and strings intact; every blocking kind
+# fed straight from a Load stores the oracle's rows, as only the shuffle's
+# copy keeps a record). -race checks their unsafe conversions with
+# checkptr. Runs twice under the detector: map and reduce pool
+# interleavings differ per run.
 race-engine:
-	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors|TestCommittedPayloadsArePrivate|TestBagWindowsAreIsolated|TestStoredBagFold' ./internal/mapred
-	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased|TestLazyBag' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
+	$(GO) test -race -count=2 -run 'TestEngineDataPlane|TestEngineMapPhaseCollectsAllErrors|TestCommittedPayloadsArePrivate|TestBagWindowsAreIsolated|TestStoredBagFold|TestBorrowedTuplesAreCopiedByTheShuffle' ./internal/mapred
+	$(GO) test -race -count=2 -run 'FuzzShuffleComparator|TestCompareColumnMatchesCompare|TestHash|TestValue|FuzzDecodeAliased|TestAliased|TestLazyBag|TestSliceReaderLends' ./internal/mapred ./internal/types ./internal/dfs ./internal/fleet
 
 # The fleet backend battery: the backend differential (the worker fleet
 # makes the in-process engine's rewrite decisions, leaves repository and DFS
@@ -137,7 +141,9 @@ race-fleet:
 #           is stored and then folded (store framing, bag building), and
 #           the map-only fold of SUM/AVG/MIN/MAX/COUNT(C.x) over that
 #           stored Group output (reading stored bags back: PigMix L3's
-#           residual job under sub-job reuse)
+#           residual job under sub-job reuse), and one map task of L2/L3
+#           over a page_views partition (decode, project, injected Store,
+#           Join shuffle: what the lent spines leave a map task)
 #   fleet   a grouped-aggregate query stream through a two-worker HTTP fleet
 #   types   the tuple codec and order on the Value layout: encode, decode
 #           (a narrow row and a 9-column page_views-shaped row) and
@@ -155,7 +161,7 @@ BENCH_RE_hot     := BenchmarkServerHot
 BENCH_PKG_shard  := ./internal/server
 BENCH_RE_shard   := BenchmarkServerShard
 BENCH_PKG_engine := ./internal/mapred
-BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob|BenchmarkReduceGroupStore|BenchmarkStoredBagFold
+BENCH_RE_engine  := BenchmarkShuffleKernel|BenchmarkEngineOrderJob|BenchmarkReduceGroupStore|BenchmarkStoredBagFold|BenchmarkMapTaskProject
 BENCH_PKG_fleet  := ./internal/fleet
 BENCH_RE_fleet   := BenchmarkFleet
 BENCH_PKG_types  := ./internal/types

@@ -339,7 +339,8 @@ func (fs *FS) ReadPartitionRaw(path string, idx int) ([]byte, error) {
 }
 
 // ReadAll decodes every tuple in the file, in partition order. Intended for
-// tests and result verification, not the execution hot path.
+// tests and result verification, not the execution hot path. It keeps every
+// tuple, so it clones each one the slice reader lends.
 func (fs *FS) ReadAll(path string) ([]types.Tuple, error) {
 	n, err := fs.Partitions(path)
 	if err != nil {
@@ -360,7 +361,7 @@ func (fs *FS) ReadAll(path string) ([]types.Tuple, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, t)
+			out = append(out, t.Clone())
 		}
 	}
 	return out, nil

@@ -324,7 +324,7 @@ func aliasedRows(t *testing.T) ([]types.Tuple, []string) {
 		if p := uintptr(unsafe.Pointer(unsafe.StringData(tu[1].Str()))); p < lo || p >= hi {
 			t.Fatalf("row %d: string does not alias the partition bytes", len(out))
 		}
-		out = append(out, tu)
+		out = append(out, tu.Clone()) // the slice reader lends its spine
 	}
 	return out, want
 }

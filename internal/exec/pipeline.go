@@ -4,10 +4,17 @@
 // blocking operator's output in the reduce phase); tuples stream through
 // Foreach/Filter/Split/Union nodes and arrive at registered outputs (shuffle
 // collectors or DFS store writers).
+//
+// Every tuple that moves through a pipeline is borrowed: it is valid only
+// until the Push or PushOutputOf call that delivered it returns. A Foreach
+// node evaluates into an output tuple it reuses for the next push, and the
+// caller may reuse the tuple it pushed; an output that keeps a tuple past
+// its call keeps a Clone of it.
 package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -30,6 +37,9 @@ type node struct {
 	op        *physical.Operator
 	consumers []*node
 	outputs   []Output
+	// work and out are a Foreach node's scratch: the input widened by its
+	// nested bags, and the output tuple it delivers, reused across pushes.
+	work, out types.Tuple
 }
 
 // NewPipeline compiles the operators in include (a subset of plan op IDs,
@@ -113,11 +123,8 @@ func (p *Pipeline) process(n *node, t types.Tuple) error {
 		}
 		return nil
 	case physical.OpForeach:
-		out, err := EvalForeach(n.op, t)
-		if err != nil {
-			return err
-		}
-		return p.deliver(n, out)
+		n.work, n.out = evalForeach(n.op, t, n.work, n.out)
+		return p.deliver(n, n.out)
 	default:
 		return fmt.Errorf("exec: operator %s is blocking and cannot run in a pipeline", n.op.Kind)
 	}
@@ -139,12 +146,20 @@ func (p *Pipeline) deliver(n *node, t types.Tuple) error {
 
 // EvalForeach applies a Foreach operator to one input tuple: nested defs
 // compute derived bags appended to the tuple, then the generate expressions
-// produce the output tuple.
+// produce the output tuple. It returns a newly allocated tuple; a pipeline's
+// Foreach node runs the same kernel into its own scratch.
 func EvalForeach(op *physical.Operator, t types.Tuple) (types.Tuple, error) {
-	work := t
+	_, out := evalForeach(op, t, nil, make(types.Tuple, len(op.Exprs)))
+	return out, nil
+}
+
+// evalForeach is EvalForeach's kernel: it widens t by the nested bags in
+// work's backing array, evaluates the generate expressions into out's, and
+// returns both (either is allocated when nil or too small).
+func evalForeach(op *physical.Operator, t, work, out types.Tuple) (types.Tuple, types.Tuple) {
+	in := t
 	if len(op.Nested) > 0 {
-		work = make(types.Tuple, len(t), len(t)+len(op.Nested))
-		copy(work, t)
+		work = append(slices.Grow(work[:0], len(t)+len(op.Nested)), t...)
 		for _, def := range op.Nested {
 			bagVal := def.Base.Eval(work)
 			if bagVal.Kind() != types.KindBag {
@@ -154,12 +169,13 @@ func EvalForeach(op *physical.Operator, t types.Tuple) (types.Tuple, error) {
 			}
 			work = append(work, applyNested(def, bagVal.Bag()))
 		}
+		in = work
 	}
-	out := make(types.Tuple, len(op.Exprs))
+	out = slices.Grow(out[:0], len(op.Exprs))[:len(op.Exprs)]
 	for i, e := range op.Exprs {
-		out[i] = e.Eval(work)
+		out[i] = e.Eval(in)
 	}
-	return out, nil
+	return work, out
 }
 
 func applyNested(def physical.NestedDef, in *types.Bag) types.Value {

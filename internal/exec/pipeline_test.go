@@ -39,7 +39,7 @@ func TestLinearPipeline(t *testing.T) {
 	pl := NewPipeline(p, includeAll(p))
 	var got []types.Tuple
 	if err := pl.SetOutput(store.ID, func(tu types.Tuple) error {
-		got = append(got, tu)
+		got = append(got, tu.Clone()) // pipeline tuples are borrowed
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestPushOutputOfBypassesEvaluation(t *testing.T) {
 	include := map[int]bool{g.ID: true, fe.ID: true, st.ID: true}
 	pl := NewPipeline(p, include)
 	var got []types.Tuple
-	if err := pl.SetOutput(st.ID, func(tu types.Tuple) error { got = append(got, tu); return nil }); err != nil {
+	if err := pl.SetOutput(st.ID, func(tu types.Tuple) error { got = append(got, tu.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	bag := types.BagOf([]types.Tuple{

@@ -286,6 +286,106 @@ func TestEngineDataPlaneDifferential(t *testing.T) {
 	}
 }
 
+// borrowedJobs builds one job per blocking kind fed straight from a Load,
+// so the shuffle receives the slice reader's lent spines themselves: Group
+// and CoGroup storing their bags (the keys of table a hold nulls), Join,
+// Distinct, Order, Limit, and a Group the combiner folds map-side.
+func borrowedJobs(t *testing.T) []*Job {
+	t.Helper()
+	as, bs := dpASchema(), dpBSchema()
+	var jobs []*Job
+	add := func(id string, build func(p *physical.Plan) *physical.Operator) {
+		p := physical.NewPlan()
+		last := build(p)
+		p.Add(&physical.Operator{Kind: physical.OpStore, Path: "out/" + id, Inputs: []int{last.ID}, Schema: last.Schema})
+		jobs = append(jobs, mustJob(t, id, p))
+	}
+	loadA := func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpLoad, Path: "data/a", Schema: as})
+	}
+	loadB := func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpLoad, Path: "data/b", Schema: bs})
+	}
+	groupA := func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpGroup, Inputs: []int{loadA(p).ID},
+			Keys:   [][]*expr.Expr{{expr.ColIdx(0)}},
+			Schema: types.Schema{Fields: []types.Field{{Name: "group"}, {Name: "A", Kind: types.KindBag, Sub: &as}}}})
+	}
+	add("group", groupA)
+	add("combined", func(p *physical.Plan) *physical.Operator {
+		g := groupA(p)
+		return p.Add(&physical.Operator{Kind: physical.OpForeach, Inputs: []int{g.ID},
+			Exprs: []*expr.Expr{expr.ColIdx(0),
+				mustBind(t, expr.Call("COUNT", expr.Col("A")), g.Schema),
+				mustBind(t, expr.Call("MAX", expr.BagProj(expr.Col("A"), "v")), g.Schema)},
+			Schema: types.SchemaFromNames("group", "n", "top")})
+	})
+	add("cogroup", func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpCoGroup, Inputs: []int{loadA(p).ID, loadB(p).ID},
+			Keys: [][]*expr.Expr{{expr.ColIdx(0)}, {expr.ColIdx(0)}},
+			Schema: types.Schema{Fields: []types.Field{
+				{Name: "group"},
+				{Name: "as", Kind: types.KindBag, Sub: &as},
+				{Name: "bs", Kind: types.KindBag, Sub: &bs}}}})
+	})
+	add("join", func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpJoin, Inputs: []int{loadA(p).ID, loadB(p).ID},
+			Keys: [][]*expr.Expr{{expr.ColIdx(0)}, {expr.ColIdx(0)}}, Schema: as.Concat(bs)})
+	})
+	add("distinct", func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpDistinct, Inputs: []int{loadB(p).ID}, Schema: bs})
+	})
+	add("order", func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpOrder, Inputs: []int{loadA(p).ID},
+			SortCols: []physical.SortCol{{Index: 2}, {Index: 1, Desc: true}, {Index: 0}}, Schema: as})
+	})
+	add("limit", func(p *physical.Plan) *physical.Operator {
+		return p.Add(&physical.Operator{Kind: physical.OpLimit, Inputs: []int{loadA(p).ID}, N: 40, Schema: as})
+	})
+	return jobs
+}
+
+// TestBorrowedTuplesAreCopiedByTheShuffle: map tasks push the slice
+// reader's lent spine through the pipeline, and the shuffle is the one sink
+// that keeps what it receives. Fed straight from a Load, every blocking
+// kind must still store internal/oracle's rows exactly, at one reduce
+// partition and at four.
+func TestBorrowedTuplesAreCopiedByTheShuffle(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("R%d", parts), func(t *testing.T) {
+			fs := dfs.New()
+			tables := dpTables(rand.New(rand.NewSource(int64(parts))))
+			if err := oracle.Load(fs, tables); err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(fs, cluster.Default())
+			e.ReduceTasks = parts
+			for _, job := range borrowedJobs(t) {
+				if job.ID == "combined" && !NewJobContext(job, parts, true).Combining() {
+					t.Fatal("the combined Group's job does not combine")
+				}
+				if _, err := e.RunJob(context.Background(), job); err != nil {
+					t.Fatalf("job %s: %v", job.ID, err)
+				}
+				want, err := oracle.Eval(job.Plan, tables)
+				if err != nil {
+					t.Fatalf("job %s: %v", job.ID, err)
+				}
+				for _, st := range job.Plan.Sinks() {
+					got, err := fs.ReadAll(st.Path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ordered := job.Blocking().Kind == physical.OpOrder || job.Blocking().Kind == physical.OpLimit
+					if err := oracle.DiffExact(want[st.Path].Rows, got, ordered); err != nil {
+						t.Errorf("job %s, %s: %v", job.ID, st.Path, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestEngineMapPhaseCollectsAllErrors pins the errors.Join regression: when
 // several map tasks fail, the job error must report every failed task, not
 // whichever error won the race onto a channel.

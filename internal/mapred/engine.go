@@ -397,7 +397,11 @@ func (e *Engine) runReducePhase(ctx context.Context, jc *JobContext, byPart [][]
 }
 
 // applyBlocking walks runs of equal keys and emits the blocking operator's
-// output tuples.
+// output tuples. Each emitted tuple is borrowed, as every pipeline tuple is:
+// the reduce-side pipeline ends in Stores, which encode what they receive,
+// so a Join's joined row and a Group's or CoGroup's output tuple are one
+// scratch tuple per partition, rewritten for the next emit. Their bags are
+// windows of the partition's arena and their values the shuffle's own.
 func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tuple) error) error {
 	switch b.Kind {
 	case physical.OpLimit:
@@ -428,6 +432,7 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 			arena[i] = recs[i].val
 		}
 	}
+	var out types.Tuple
 	for start := 0; start < len(recs); {
 		end := start + 1
 		for end < len(recs) && types.CompareTuples(recs[end].key, recs[start].key) == 0 {
@@ -441,7 +446,8 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 			}
 		case physical.OpGroup:
 			bag := types.BagOf(arena[start:end:end]...)
-			if err := emit(types.Tuple{groupValue(b, run[0].key), types.NewBag(bag)}); err != nil {
+			out = append(out[:0], groupValue(b, run[0].key), types.NewBag(bag))
+			if err := emit(out); err != nil {
 				return err
 			}
 		case physical.OpCoGroup:
@@ -453,8 +459,7 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 					tag := run[from].tag
 					to = from + sort.Search(len(run)-from, func(i int) bool { return run[from+i].tag > tag })
 				}
-				out := make(types.Tuple, 1+len(b.Inputs))
-				out[0] = groupValue(b, run[from].key)
+				out = append(out[:0], groupValue(b, run[from].key))
 				s := from
 				for tag := range b.Inputs {
 					e := s
@@ -465,7 +470,7 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 					if e > s {
 						bag = types.BagOf(arena[start+s : start+e : start+e]...)
 					}
-					out[1+tag] = types.NewBag(bag)
+					out = append(out, types.NewBag(bag))
 					s = e
 				}
 				if err := emit(out); err != nil {
@@ -479,10 +484,8 @@ func applyBlocking(b *physical.Operator, recs []shuffleRec, emit func(types.Tupl
 			left, right := run[:split], run[split:]
 			for _, l := range left {
 				for _, rt := range right {
-					joined := make(types.Tuple, 0, len(l.val)+len(rt.val))
-					joined = append(joined, l.val...)
-					joined = append(joined, rt.val...)
-					if err := emit(joined); err != nil {
+					out = append(append(out[:0], l.val...), rt.val...)
+					if err := emit(out); err != nil {
 						return err
 					}
 				}

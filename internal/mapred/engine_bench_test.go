@@ -11,6 +11,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/expr"
 	"repro/internal/physical"
+	"repro/internal/pigmix"
 	"repro/internal/types"
 )
 
@@ -82,8 +83,8 @@ func BenchmarkShuffleKernel(b *testing.B) {
 			for _, r := range runs {
 				sortRun(cmp, r)
 			}
-			merged := mergeRuns(cmp, runs, getRecSlice(total))
-			putRecSlice(merged)
+			merged := mergeRuns(cmp, runs, getRecSlice(&mergePool, total))
+			putRecSlice(&mergePool, merged)
 		}
 	})
 }
@@ -175,6 +176,59 @@ func BenchmarkStoredBagFold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.RunJob(context.Background(), job); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMapTaskProject runs the map side of PigMix L2 and L3 under the
+// Aggressive heuristic on one page_views partition of Instance150GB's size:
+// decode each 9-column record, project user and estimated_revenue, store
+// the projection through an injected map-side Store, and shuffle it to the
+// Join with users. Its B/op is what a map task allocates per partition
+// when only the shuffle keeps records.
+func BenchmarkMapTaskProject(b *testing.B) {
+	fs := dfs.New()
+	inst := pigmix.Instance150GB().Config
+	cfg := pigmix.GenConfig{PageViewsRows: inst.PageViewsRows / inst.Partitions, Users: inst.Users,
+		PowerUsers: 1, WideRows: 1, Partitions: 1, Seed: inst.Seed}
+	if err := pigmix.Generate(fs, cfg); err != nil {
+		b.Fatal(err)
+	}
+	views, users := pigmix.PageViewsSchema(), pigmix.UsersSchema()
+	p := physical.NewPlan()
+	l := p.Add(&physical.Operator{Kind: physical.OpLoad, Path: pigmix.PathPageViews, Schema: views})
+	proj := types.SchemaFromNames("user", "estimated_revenue")
+	fe := p.Add(&physical.Operator{Kind: physical.OpForeach, Inputs: []int{l.ID},
+		Exprs: []*expr.Expr{expr.ColIdx(0), expr.ColIdx(6)}, Schema: proj})
+	sp := p.Add(&physical.Operator{Kind: physical.OpSplit, Inputs: []int{fe.ID}, Schema: proj, Injected: true})
+	p.Add(&physical.Operator{Kind: physical.OpStore, Path: "restore/bench/proj", Inputs: []int{sp.ID}, Schema: proj, Injected: true})
+	ul := p.Add(&physical.Operator{Kind: physical.OpLoad, Path: pigmix.PathUsers, Schema: users})
+	names := types.SchemaFromNames("name")
+	ufe := p.Add(&physical.Operator{Kind: physical.OpForeach, Inputs: []int{ul.ID},
+		Exprs: []*expr.Expr{expr.ColIdx(0)}, Schema: names})
+	j := p.Add(&physical.Operator{Kind: physical.OpJoin, Inputs: []int{sp.ID, ufe.ID},
+		Keys: [][]*expr.Expr{{expr.ColIdx(0)}, {expr.ColIdx(0)}}, Schema: proj.Concat(names)})
+	p.Add(&physical.Operator{Kind: physical.OpStore, Path: "out/bench/join", Inputs: []int{j.ID}, Schema: j.Schema})
+	job, err := NewJob("bench-project", p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	input, err := fs.ReadPartitionRaw(pigmix.PathPageViews, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jc := NewJobContext(job, DefaultReduceTasks, true)
+	spec := MapTaskSpec{LoadID: l.ID}
+	b.SetBytes(int64(len(input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mr, err := ExecMapTask(context.Background(), jc, spec, input)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ref := range mr.Runs {
+			putRecSlice(&runPool, ref.recs)
 		}
 	}
 }

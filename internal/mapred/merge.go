@@ -10,36 +10,37 @@ import (
 // pool forever by one oversized job.
 const maxPooledRun = 1 << 17
 
-// recSlicePool recycles shuffle-run buffers across map tasks, reduce
-// merges, and jobs. Slices are cleared before being pooled so pooled spines
-// never pin key/value tuples of finished jobs.
-var recSlicePool = sync.Pool{
-	New: func() any {
-		s := make([]shuffleRec, 0, 256)
-		return &s
-	},
-}
+// runPool and mergePool recycle shuffle-record buffers across tasks and
+// jobs: runPool the map tasks' runs (and the runs a remote reduce fetches),
+// mergePool the reduce partitions' merge buffers. Kept apart, a map task's
+// short run never takes a partition-sized merge buffer and holds it until
+// its job's reduce has run. Slices are cleared before being pooled so
+// pooled spines never pin key/value tuples of finished jobs.
+var runPool, mergePool sync.Pool
 
-// getRecSlice returns an empty run buffer with at least capHint capacity
-// when the pooled one is smaller.
-func getRecSlice(capHint int) []shuffleRec {
-	sp := recSlicePool.Get().(*[]shuffleRec)
-	s := (*sp)[:0]
-	if cap(s) < capHint && capHint <= maxPooledRun {
-		s = make([]shuffleRec, 0, capHint)
+// getRecSlice returns an empty buffer from pool, or a new one of capHint
+// capacity (at least 256) when the pool is empty or its buffer is smaller
+// than a capHint the pools would keep.
+func getRecSlice(pool *sync.Pool, capHint int) []shuffleRec {
+	var s []shuffleRec
+	if sp, ok := pool.Get().(*[]shuffleRec); ok {
+		s = *sp
+	}
+	if cap(s) == 0 || cap(s) < capHint && capHint <= maxPooledRun {
+		s = make([]shuffleRec, 0, max(capHint, 256))
 	}
 	return s
 }
 
-// putRecSlice clears and pools a run buffer for reuse.
-func putRecSlice(s []shuffleRec) {
+// putRecSlice clears a buffer and returns it to pool.
+func putRecSlice(pool *sync.Pool, s []shuffleRec) {
 	if cap(s) == 0 || cap(s) > maxPooledRun {
 		return
 	}
 	s = s[:cap(s)]
 	clear(s)
 	s = s[:0]
-	recSlicePool.Put(&s)
+	pool.Put(&s)
 }
 
 // mergeRuns merges pre-sorted shuffle runs into dst in comparator order —

@@ -205,7 +205,7 @@ func (ft fetchTransport) FetchRuns(ctx context.Context, refs []RunRef) ([][]shuf
 		if err != nil {
 			return nil, fmt.Errorf("mapred: fetch run task %d part %d from %s: %w", ref.TaskIdx, ref.Part, ref.Addr, err)
 		}
-		recs, err := decodeRun(data, getRecSlice(ref.Records))
+		recs, err := decodeRun(data, getRecSlice(&runPool, ref.Records))
 		if err != nil {
 			return nil, fmt.Errorf("mapred: run task %d part %d from %s: %w", ref.TaskIdx, ref.Part, ref.Addr, err)
 		}
@@ -265,7 +265,7 @@ func newShuffleEmitter(jc *JobContext, taskIdx int) *shuffleEmitter {
 func (em *shuffleEmitter) push(r int, rec shuffleRec) {
 	run := em.shuffle[r]
 	if cap(run) == 0 {
-		run = getRecSlice(em.runHint)
+		run = getRecSlice(&runPool, em.runHint)
 	}
 	em.shuffle[r] = append(run, rec)
 }
@@ -293,7 +293,14 @@ func (em *shuffleEmitter) emit(tag int, t types.Tuple) error {
 	if em.blocking.Kind == physical.OpJoin && exec.KeyHasNull(key) {
 		return nil // null join keys never match
 	}
-	em.collect(tag, key, t)
+	// t is borrowed (the reader's or a Foreach node's scratch) and the run
+	// keeps it to the reduce side: copy its spine once. Distinct's key is
+	// the record itself, so the key shares that copy.
+	val := t.Clone()
+	if em.blocking.Kind == physical.OpDistinct {
+		key = val
+	}
+	em.collect(tag, key, val)
 	return nil
 }
 
@@ -325,7 +332,9 @@ func (em *shuffleEmitter) finish(taskIdx int) []RunRef {
 // passes the committed partition's bytes (FS.ReadPartitionRaw), and of
 // remote workers, which pass the bytes the coordinator shipped. Decoded
 // strings alias input (types.NewSliceReader), so input must never be
-// written again; InputBytes is charged as its length.
+// written again; InputBytes is charged as its length. Each record's spine
+// is lent by the reader and the pipeline's tuples are borrowed: stores
+// encode them, and the shuffle copies the ones it keeps (emit).
 func ExecMapTask(ctx context.Context, jc *JobContext, spec MapTaskSpec, input []byte) (*MapResult, error) {
 	if jc.mapHook != nil {
 		if err := jc.mapHook(ctx, spec.TaskIdx); err != nil {
@@ -453,11 +462,11 @@ func ExecReducePartition(ctx context.Context, jc *JobContext, part int, refs []R
 	for _, run := range runs {
 		total += len(run)
 	}
-	merged := mergeRuns(jc.cmp, runs, getRecSlice(total))
+	merged := mergeRuns(jc.cmp, runs, getRecSlice(&mergePool, total))
 	rr, err := execReduceBody(jc, part, merged)
-	putRecSlice(merged)
+	putRecSlice(&mergePool, merged)
 	for _, run := range runs {
-		putRecSlice(run)
+		putRecSlice(&runPool, run)
 	}
 	return rr, err
 }

@@ -167,7 +167,7 @@ func (l *lazyBag) tuples() []Tuple {
 	ts := make([]Tuple, l.n)
 	off := 0
 	for k := range ts {
-		t, n, err := decodeTuple(l.enc[off:], true)
+		t, n, err := decodeTuple(nil, l.enc[off:], true)
 		if err != nil {
 			panic("types: lazy bag no longer decodes: " + err.Error())
 		}

@@ -125,12 +125,13 @@ func NextRecord(data []byte) (rec, rest []byte, err error) {
 // non-empty bag stays lazy (see Bag), its encoded tuples aliasing rec, so
 // rec must never be written again: committed DFS partitions, fleet request
 // bodies and pulled shuffle runs are all written once.
-func DecodeRecord(rec []byte) (Tuple, error) { return decodeRecord(rec, true) }
+func DecodeRecord(rec []byte) (Tuple, error) { return decodeRecord(nil, rec, true) }
 
 // decodeRecord decodes one record's tuple and rejects unused frame bytes;
-// alias selects whether strings alias rec or are copied out of it.
-func decodeRecord(rec []byte, alias bool) (Tuple, error) {
-	t, used, err := decodeTuple(rec, alias)
+// alias selects whether strings alias rec or are copied out of it, and
+// spine is passed to decodeTuple.
+func decodeRecord(spine Tuple, rec []byte, alias bool) (Tuple, error) {
+	t, used, err := decodeTuple(spine, rec, alias)
 	if err != nil {
 		return nil, err
 	}
@@ -146,12 +147,15 @@ func trailingBytes(n int) error {
 
 // DecodeTuple decodes one tuple from buf, returning the tuple and the number
 // of bytes consumed. Strings are copied: buf may be reused afterwards.
-func DecodeTuple(buf []byte) (Tuple, int, error) { return decodeTuple(buf, false) }
+func DecodeTuple(buf []byte) (Tuple, int, error) { return decodeTuple(nil, buf, false) }
 
 // decodeTuple is the one tuple decoder. With alias set, string values point
 // into buf (unsafe.String) instead of copying it, and a bag whose bytes
-// EncodeTuple would write back unchanged is a lazy bag over buf.
-func decodeTuple(buf []byte, alias bool) (Tuple, int, error) {
+// EncodeTuple would write back unchanged is a lazy bag over buf. The tuple
+// is decoded into spine's backing array when spine is non-nil and holds
+// the arity, and into a new one otherwise; nested tuples and bags always
+// get new ones, so only the top-level spine is ever reused.
+func decodeTuple(spine Tuple, buf []byte, alias bool) (Tuple, int, error) {
 	arity, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("types: corrupt tuple arity")
@@ -162,7 +166,12 @@ func decodeTuple(buf []byte, alias bool) (Tuple, int, error) {
 	if arity > uint64(len(buf)-off) {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
-	t := make(Tuple, arity)
+	var t Tuple
+	if spine != nil && uint64(cap(spine)) >= arity {
+		t = spine[:arity]
+	} else {
+		t = make(Tuple, arity)
+	}
 	for i := range t {
 		v, n, err := decodeValue(buf[off:], alias)
 		if err != nil {
@@ -215,7 +224,7 @@ func decodeValue(buf []byte, alias bool) (Value, int, error) {
 		}
 		return NewString(unsafe.String(&buf[off], int(l))), end, nil
 	case KindTuple:
-		t, n, err := decodeTuple(buf[off:], alias)
+		t, n, err := decodeTuple(nil, buf[off:], alias)
 		if err != nil {
 			return Value{}, 0, err
 		}
@@ -240,7 +249,7 @@ func decodeValue(buf []byte, alias bool) (Value, int, error) {
 		}
 		tuples := make([]Tuple, count)
 		for i := range tuples {
-			t, n, err := decodeTuple(buf[off:], alias)
+			t, n, err := decodeTuple(nil, buf[off:], alias)
 			if err != nil {
 				return Value{}, 0, err
 			}
@@ -392,19 +401,28 @@ func (r *Reader) Read() (Tuple, error) {
 		}
 	}
 	r.scratch = buf
-	return decodeRecord(buf, false)
+	return decodeRecord(nil, buf, false)
 }
 
 // SliceReader reads length-prefixed records straight out of an in-memory
 // payload, with no buffering and no copy: each tuple's strings alias the
 // payload (DecodeRecord), which must never be written again.
-type SliceReader struct{ data []byte }
+//
+// The tuples it returns are lent: every record's top-level spine is decoded
+// into one spine the reader owns, which its next Read overwrites. Values
+// taken out of a lent tuple stay valid (their strings alias the payload, and
+// nested tuples and bags are allocated per record as DecodeRecord allocates
+// them); a caller that keeps the tuple itself keeps a Clone of it.
+type SliceReader struct {
+	data  []byte
+	spine Tuple
+}
 
 // NewSliceReader returns a record reader over data.
 func NewSliceReader(data []byte) *SliceReader { return &SliceReader{data: data} }
 
-// Read returns the next tuple or io.EOF. It fails on the record Reader.Read
-// fails on.
+// Read returns the next tuple, lent until the next Read, or io.EOF. It fails
+// on the record Reader.Read fails on.
 func (r *SliceReader) Read() (Tuple, error) {
 	if len(r.data) == 0 {
 		return nil, io.EOF
@@ -413,9 +431,12 @@ func (r *SliceReader) Read() (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := DecodeRecord(rec)
+	t, err := decodeRecord(r.spine, rec, true)
 	if err != nil {
 		return nil, err
+	}
+	if cap(t) > cap(r.spine) {
+		r.spine = t
 	}
 	r.data = rest
 	return t, nil

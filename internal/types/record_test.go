@@ -142,7 +142,7 @@ func FuzzDecodeAliased(f *testing.F) {
 	f.Add([]byte{1, byte(KindBag), 2, 1, byte(KindBool), 2, 1, byte(KindBag), 1, 1, byte(KindString), 1, 'n'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wn, werr := DecodeTuple(data)
-		got, gn, gerr := decodeTuple(data, true)
+		got, gn, gerr := decodeTuple(nil, data, true)
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 			t.Fatalf("copying decode err %v, aliasing decode err %v", werr, gerr)
 		}
@@ -155,8 +155,117 @@ func FuzzDecodeAliased(f *testing.F) {
 		if !aliasedStrings(got, data) {
 			t.Fatalf("aliasing decode %v copied a string", got)
 		}
-		if _, err := DecodeRecord(data); (err == nil) != (wn == len(data)) {
+		rec, err := DecodeRecord(data)
+		if (err == nil) != (wn == len(data)) {
 			t.Fatalf("DecodeRecord over %d bytes holding a %d-byte tuple: err %v", len(data), wn, err)
 		}
+		if err != nil {
+			return
+		}
+		// The lending leg: framed as a record between records of other
+		// arities, each Read's clone equals DecodeRecord of its record after
+		// every later Read has reused the lent spine.
+		frame := binary.AppendUvarint(nil, uint64(len(data)))
+		frame = append(frame, data...)
+		wide := Tuple{NewInt(int64(len(data))), NewTuple(Tuple{NewString("wide")}), Null(), NewBool(true), NewFloat(0.5)}
+		records := []Tuple{{NewTuple(Tuple{NewString("first")})}, rec, wide, rec, {}}
+		payload := recordsOf(records[0])
+		payload = append(payload, frame...)
+		payload = append(payload, recordsOf(wide)...)
+		payload = append(payload, frame...)
+		payload = append(payload, recordsOf(records[4])...)
+		r := NewSliceReader(payload)
+		var clones []Tuple
+		for {
+			tu, err := r.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("slice reader, record %d: %v", len(clones), err)
+			}
+			clones = append(clones, tu.Clone())
+		}
+		if len(clones) != len(records) {
+			t.Fatalf("slice reader read %d records, want %d", len(clones), len(records))
+		}
+		for i, c := range clones {
+			if CompareTuples(c, records[i]) != 0 || !bytes.Equal(EncodeTuple(nil, c), EncodeTuple(nil, records[i])) {
+				t.Fatalf("record %d: clone of the lent tuple %v, DecodeRecord %v", i, c, records[i])
+			}
+		}
 	})
+}
+
+// TestSliceReaderLends pins the slice reader's lending: the next Read
+// decodes into the spine the previous one lent, while a Clone taken before
+// it, and the previous record's nested tuples, lazy bags and strings, stay
+// as they were. Only the top-level spine is lent.
+func TestSliceReaderLends(t *testing.T) {
+	first := Tuple{
+		NewString("alpha"),
+		NewTuple(Tuple{NewString("in"), NewInt(1), NewTuple(Tuple{NewFloat(1.5)})}),
+		NewBag(BagOf([]Tuple{{NewString("x"), NewInt(1)}, {NewString("y"), NewInt(2)}}...)),
+	}
+	second := Tuple{
+		NewString("omega"),
+		NewTuple(Tuple{NewString("other"), NewInt(9), NewTuple(Tuple{NewFloat(-2)})}),
+		NewBag(BagOf([]Tuple{{NewString("z"), NewInt(3)}}...)),
+	}
+	wider := append(second.Clone(), NewInt(4))
+	r := NewSliceReader(recordsOf(first, second, wider, first))
+
+	a, err := r.Read()
+	if err != nil || !EqualTuples(a, first) {
+		t.Fatalf("first Read = %v, %v", a, err)
+	}
+	clone := a.Clone()
+	str, nested, bag := a[0].Str(), a[1].Tuple(), a[2].Bag()
+	bagRows := append([]Tuple(nil), bag.Tuples()...)
+	nestedEnc, bagEnc := EncodeTuple(nil, nested), EncodeTuple(nil, Tuple{a[2]})
+
+	b, err := r.Read()
+	if err != nil || !EqualTuples(b, second) {
+		t.Fatalf("second Read = %v, %v", b, err)
+	}
+	if unsafe.SliceData(a) != unsafe.SliceData(b) {
+		t.Error("second Read allocated a spine instead of reusing the lent one")
+	}
+	if EqualTuples(a, first) {
+		t.Error("the lent spine still holds the first record after the next Read")
+	}
+	if !EqualTuples(clone, first) || !bytes.Equal(EncodeTuple(nil, clone), EncodeTuple(nil, first)) {
+		t.Errorf("clone taken before the next Read = %v, want %v", clone, first)
+	}
+	if str != "alpha" {
+		t.Errorf("previous record's string = %q", str)
+	}
+	if !bytes.Equal(EncodeTuple(nil, nested), nestedEnc) {
+		t.Errorf("previous record's nested tuple = %v", nested)
+	}
+	if !bytes.Equal(EncodeTuple(nil, Tuple{NewBag(bag)}), bagEnc) || bag.Len() != 2 {
+		t.Errorf("previous record's bag = %v", bag.Tuples())
+	}
+	for i, row := range bag.Tuples() {
+		if !EqualTuples(row, bagRows[i]) {
+			t.Errorf("previous record's bag row %d = %v, want %v", i, row, bagRows[i])
+		}
+	}
+
+	// A wider record outgrows the spine; the next narrower one reuses the
+	// grown spine.
+	c, err := r.Read()
+	if err != nil || !EqualTuples(c, wider) {
+		t.Fatalf("third Read = %v, %v", c, err)
+	}
+	d, err := r.Read()
+	if err != nil || !EqualTuples(d, first) {
+		t.Fatalf("fourth Read = %v, %v", d, err)
+	}
+	if unsafe.SliceData(c) != unsafe.SliceData(d) {
+		t.Error("a narrower record did not reuse the grown spine")
+	}
+	if _, err := r.Read(); err != io.EOF {
+		t.Errorf("Read past the payload = %v, want io.EOF", err)
+	}
 }
